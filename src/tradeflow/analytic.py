@@ -93,8 +93,8 @@ def _export_forms(
 
 def _segment_forms(
     state: NormalizedState, econ: GoodEconomy, regime: Regime
-) -> tuple[ExpLinear, ExpLinear, dict[str, float]]:
-    """Component forms plus the integration constants for one segment.
+) -> tuple[ExpLinear, ExpLinear]:
+    """Component forms of both stocks for one segment.
 
     With sigma = 0 every regime evolves linearly (the exchange term is
     multiplied away), so the regime label only affects bookkeeping.
@@ -103,21 +103,12 @@ def _segment_forms(
     na, nb = econ.net_a, econ.net_b
     sigma = econ.sigma
     if sigma == 0.0 or regime is Regime.NO_EXCHANGE:
-        form_a = ExpLinear(ea, na, 0.0, 0.0)
-        form_b = ExpLinear(eb, nb, 0.0, 0.0)
-        return form_a, form_b, {"intercept_a": ea, "intercept_b": eb}
+        return ExpLinear(ea, na, 0.0, 0.0), ExpLinear(eb, nb, 0.0, 0.0)
     if regime is Regime.A_EXPORTS:
-        form_a, form_b = _export_forms(ea, eb, na, nb, sigma)
-        return form_a, form_b, {
-            "exp_amplitude": form_a.coef,
-            "follower_offset": form_b.const,
-        }
+        return _export_forms(ea, eb, na, nb, sigma)
     if regime is Regime.B_EXPORTS:
         form_b, form_a = _export_forms(eb, ea, nb, na, sigma)
-        return form_a, form_b, {
-            "exp_amplitude": form_b.coef,
-            "follower_offset": form_a.const,
-        }
+        return form_a, form_b
     # Bilateral: total stock moves linearly (zero eigenvalue), the difference
     # relaxes at rate 2*sigma.
     total_rate = na + nb
@@ -127,7 +118,7 @@ def _segment_forms(
     gap = (ea - eb) - diff_eq
     form_a = ExpLinear(0.5 * (total0 + diff_eq), 0.5 * total_rate, 0.5 * gap, 2.0 * sigma)
     form_b = ExpLinear(0.5 * (total0 - diff_eq), 0.5 * total_rate, -0.5 * gap, 2.0 * sigma)
-    return form_a, form_b, {"total_start": total0, "gap_start": gap}
+    return form_a, form_b
 
 
 def solve_no_exchange(state0: NormalizedState, econ: GoodEconomy, dt: float) -> NormalizedState:
@@ -146,7 +137,7 @@ def solve_a_exports(state0: NormalizedState, econ: GoodEconomy, dt: float) -> No
     _check_sigma_positive(econ, "solve_a_exports")
     if dt == 0.0:
         return state0
-    form_a, form_b, _ = _segment_forms(state0, econ, Regime.A_EXPORTS)
+    form_a, form_b = _segment_forms(state0, econ, Regime.A_EXPORTS)
     return NormalizedState(form_a.value(dt), form_b.value(dt))
 
 
@@ -161,7 +152,7 @@ def solve_bilateral(state0: NormalizedState, econ: GoodEconomy, dt: float) -> No
     _check_sigma_positive(econ, "solve_bilateral")
     if dt == 0.0:
         return state0
-    form_a, form_b, _ = _segment_forms(state0, econ, Regime.BILATERAL)
+    form_a, form_b = _segment_forms(state0, econ, Regime.BILATERAL)
     return NormalizedState(form_a.value(dt), form_b.value(dt))
 
 
@@ -174,7 +165,6 @@ class RegimeSegment:
     t_end: float
     state_start: NormalizedState
     state_end: NormalizedState
-    constants: dict[str, float]
     form_a: ExpLinear
     form_b: ExpLinear
 
@@ -363,7 +353,7 @@ def simulate_analytic(
                 "pathological chatter at the threshold"
             )
         regime = regime_from_sides(a_above, b_above)
-        form_a, form_b, constants = _segment_forms(state, econ, regime)
+        form_a, form_b = _segment_forms(state, econ, regime)
         remaining = horizon - t
         hit_a = _first_violation(form_a, a_above, remaining, event_tol)
         hit_b = _first_violation(form_b, b_above, remaining, event_tol)
@@ -371,7 +361,7 @@ def simulate_analytic(
         if hit_a is None and hit_b is None:
             end = NormalizedState(form_a.value(remaining), form_b.value(remaining))
             segments.append(
-                RegimeSegment(regime, t, horizon, state, end, constants, form_a, form_b)
+                RegimeSegment(regime, t, horizon, state, end, form_a, form_b)
             )
             break
 
@@ -384,7 +374,7 @@ def simulate_analytic(
             )
         end = NormalizedState(form_a.value(tau), form_b.value(tau))
         segments.append(
-            RegimeSegment(regime, t, t_end, state, end, constants, form_a, form_b)
+            RegimeSegment(regime, t, t_end, state, end, form_a, form_b)
         )
         if hit_a == tau:
             a_above = not a_above

@@ -294,19 +294,22 @@ def cmd_region(args: argparse.Namespace) -> int:
     if sc.grid is None:
         return _fail("region requires a [grid] section")
     two = sc.two_good()
-    scan = scan_region(two, sc.grid)
+    try:
+        scan = scan_region(two, sc.grid)
+    except ValueError as exc:
+        return _fail(str(exc))
     interval = feasible_k_interval(two)
 
     lines = ["sigma1,eta_a1,k,dm_a,dm_b,p_a2,p_b1,feasible"]
     feasible_count = 0
     mismatch = None
-    for sig, eta, k, cell in scan.rows():
-        if cell.feasible != interval.contains(k):
-            mismatch = (sig, eta, k, cell.feasible)
-        feasible_count += cell.feasible
+    for sig, eta, k, dm_a, dm_b, p_a2, p_b1, feasible in scan.rows():
+        if feasible != interval.contains(k):
+            mismatch = (sig, eta, k, feasible)
+        feasible_count += feasible
         lines.append(
-            f"{_fmt(sig)},{_fmt(eta)},{_fmt(k)},{_fmt(cell.dm_a)},{_fmt(cell.dm_b)},"
-            f"{_fmt(cell.p_a2)},{_fmt(cell.p_b1)},{int(cell.feasible)}"
+            f"{_fmt(sig)},{_fmt(eta)},{_fmt(k)},{_fmt(dm_a)},{_fmt(dm_b)},"
+            f"{_fmt(p_a2)},{_fmt(p_b1)},{int(feasible)}"
         )
     out = Path(args.out)
     _write_lines(out, lines)

@@ -139,7 +139,8 @@ def _rates_at_k(
     s: TwoGoodScenario, k: float
 ) -> tuple[float, float, float, float, float, float]:
     """Money rates and productions as functions of k = sigma1*(eta_a1 - 1),
-    with sigma2 eliminated through the balanced-trade relation."""
+    with sigma2 eliminated through the balanced-trade relation. ``k`` may
+    also be a numpy array, evaluated elementwise with the same rounding."""
     m = margins(s)
     k2 = k * (s.prices1.y / s.prices2.y)  # = sigma2*(eta_b2 - 1) under balance
     p_a1 = s.good1.c_a + k

@@ -1,27 +1,31 @@
 """Feasibility map of the (sigma1, eta_a1) plane.
 
-Scans a rectangular grid of exchange coefficients and fixed-point stocks,
-evaluating the four two-good feasibility conditions at every node, and
-cross-checks against the closed-form answer: all four conditions are linear
-in k = sigma1*(eta_a1 - 1), so the feasible set is exactly an interval in k.
+Scans a rectangular grid of exchange coefficients and fixed-point stocks and
+cross-checks against the closed-form answer: all four feasibility conditions
+are linear in k = sigma1*(eta_a1 - 1), so the feasible set is exactly an
+interval in k.
 
-The interval endpoints are tightened to float resolution against the same
-rate formulas the scanner evaluates, so interval membership and the per-node
-check agree exactly at every representable k.
+The scan evaluates the whole grid in one vectorized pass, bit-identical to
+per-node ``feasibility_check``: elementwise IEEE ``+ - * /`` on arrays
+rounds exactly as the scalar path does. The interval endpoints are
+tightened to float resolution against the same rate formulas, so interval
+membership and the scan agree exactly at every representable k.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .core import TwoGoodScenario
-from .money import FeasibilityResult, _rates_at_k, feasibility_check
+
+# feasibility_check is the per-node reference the scan reproduces; it stays
+# importable from here because perfbench counts calls to it through this module.
+from .money import _rates_at_k, feasibility_check
 
 __all__ = ["GridSpec", "RegionScan", "KInterval", "scan_region", "feasible_k_interval"]
 
@@ -88,108 +92,82 @@ class KInterval:
 
 @dataclass(eq=False)
 class RegionScan:
-    """Feasibility results on the grid, rows indexed by eta_a1, columns by
+    """Feasibility on the grid as arrays: rows indexed by eta_a1, columns by
     sigma1."""
 
     grid: GridSpec
-    sigma1: list[float]
-    eta_a1: list[float]
-    cells: list[list[FeasibilityResult]]
+    sigma1: np.ndarray
+    eta_a1: np.ndarray
+    k: np.ndarray
+    dm_a: np.ndarray
+    dm_b: np.ndarray
+    p_a2: np.ndarray
+    p_b1: np.ndarray
+    feasible: np.ndarray
 
-    def rows(self) -> Iterator[tuple[float, float, float, FeasibilityResult]]:
-        """Flat (sigma1, eta_a1, k, result) tuples in row-major eta order."""
-        for i, eta in enumerate(self.eta_a1):
-            row = self.cells[i]
-            for j, sig in enumerate(self.sigma1):
-                yield sig, eta, sig * (eta - 1.0), row[j]
+    def rows(
+        self,
+    ) -> Iterator[tuple[float, float, float, float, float, float, float, bool]]:
+        """Flat (sigma1, eta_a1, k, dm_a, dm_b, p_a2, p_b1, feasible) tuples of
+        Python scalars in row-major eta order."""
+        sig = self.sigma1.tolist()
+        columns = (self.k, self.dm_a, self.dm_b, self.p_a2, self.p_b1, self.feasible)
+        # One eta row at a time: converting whole columns up front raises the
+        # peak memory of a 40k-node scan.
+        for i, eta in enumerate(self.eta_a1.tolist()):
+            yield from zip(sig, repeat(eta), *(a[i].tolist() for a in columns))
 
     def feasible_mask(self) -> np.ndarray:
-        return np.array(
-            [[cell.feasible for cell in row] for row in self.cells], dtype=bool
-        )
+        return self.feasible
 
 
-def _worker_count(requested: int | None, n_rows: int) -> int:
-    if requested is None:
-        env = os.environ.get("TRADEFLOW_THREADS")
-        if env is not None:
-            try:
-                requested = int(env)
-            except ValueError:
-                raise ValueError(f"TRADEFLOW_THREADS must be an integer, got {env!r}")
-        else:
-            requested = min(8, os.cpu_count() or 1)
-    return max(1, min(requested, n_rows))
+def scan_region(s: TwoGoodScenario, grid: GridSpec) -> RegionScan:
+    """Evaluate the feasibility conditions at every grid node in one
+    vectorized pass, bit-identical to per-node ``feasibility_check``.
 
-
-def scan_region(
-    s: TwoGoodScenario, grid: GridSpec, max_workers: int | None = None
-) -> RegionScan:
-    """Evaluate the feasibility conditions at every grid node.
-
-    Rows are computed independently (scenario and grid are immutable, each
-    worker fills disjoint row slots), so the result is identical for any
-    degree of parallelism. ``TRADEFLOW_THREADS`` caps the worker count when
-    ``max_workers`` is not given.
+    ``GridSpec`` guarantees finite nodes with sigma1 >= 0 and eta_a1 >= 1,
+    so no node needs the per-call checks of the scalar path. Raises
+    ``ValueError`` if the scenario is invalid or a rate overflows.
     """
-    sig_vals = grid.sigma1_values()
-    eta_vals = grid.eta_values()
-    cells: list[list[FeasibilityResult] | None] = [None] * len(eta_vals)
+    sig = np.array(grid.sigma1_values())
+    eta = np.array(grid.eta_values())
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = sig[None, :] * (eta[:, None] - 1.0)
+        dm_a, dm_b, _, p_a2, p_b1, _ = _rates_at_k(s, k)  # validates s once
+    finite = np.isfinite(k) & np.isfinite(dm_a) & np.isfinite(dm_b)
+    finite &= np.isfinite(p_a2) & np.isfinite(p_b1)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"region rates overflow at sigma1={float(sig[j])!r}, "
+            f"eta_a1={float(eta[i])!r}; shrink the grid ranges"
+        )
+    feasible = (dm_a >= 0.0) & (dm_b >= 0.0) & (p_a2 >= 0.0) & (p_b1 >= 0.0)
+    return RegionScan(grid, sig, eta, k, dm_a, dm_b, p_a2, p_b1, feasible)
 
-    def fill_row(i: int) -> None:
-        eta = eta_vals[i]
-        cells[i] = [feasibility_check(s, sig, eta) for sig in sig_vals]
 
-    workers = _worker_count(max_workers, len(eta_vals))
-    if workers == 1:
-        for i in range(len(eta_vals)):
-            fill_row(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_row, range(len(eta_vals))))
-    return RegionScan(grid, sig_vals, eta_vals, cells)  # type: ignore[arg-type]
+def _switch(pred: Callable[[float], bool]) -> tuple[float, float]:
+    """Bracket the switch of a monotone false-to-true predicate on k >= 0:
+    (largest float where it is false, smallest float where it is true).
 
-
-def _smallest_true(pred: Callable[[float], bool]) -> float:
-    """Smallest non-negative float where a monotone false-to-true predicate
-    holds; +inf if it never does below the bracket cap."""
+    Returns (-inf, 0.0) when it already holds at 0 and (inf, inf) when it
+    never holds below the bracket cap."""
     if pred(0.0):
-        return 0.0
+        return -math.inf, 0.0
     lo, hi = 0.0, 1.0
     while not pred(hi):
         lo = hi
         hi *= 2.0
         if hi > _BRACKET_CAP:
-            return math.inf
+            return math.inf, math.inf
     while True:
         mid = lo + 0.5 * (hi - lo)
         if mid <= lo or mid >= hi:
-            return hi
+            return lo, hi
         if pred(mid):
             hi = mid
         else:
             lo = mid
-
-
-def _largest_true(pred: Callable[[float], bool]) -> float:
-    """Largest non-negative float where a monotone true-to-false predicate
-    holds; requires pred(0) and returns +inf if it never fails below the cap."""
-    if not pred(0.0):
-        return -math.inf
-    lo, hi = 0.0, 1.0
-    while pred(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
-            return math.inf
-    while True:
-        mid = lo + 0.5 * (hi - lo)
-        if mid <= lo or mid >= hi:
-            return lo
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
 
 
 def feasible_k_interval(s: TwoGoodScenario) -> KInterval:
@@ -201,17 +179,13 @@ def feasible_k_interval(s: TwoGoodScenario) -> KInterval:
     bounds. Endpoints are exact at float resolution with respect to the
     scanner's arithmetic.
     """
-
-    def rates(k: float) -> tuple[float, float, float, float, float, float]:
-        return _rates_at_k(s, k)
-
     lo = max(
-        _smallest_true(lambda k: rates(k)[0] >= 0.0),  # country A money rate
-        _smallest_true(lambda k: rates(k)[1] >= 0.0),  # country B money rate
+        _switch(lambda k: _rates_at_k(s, k)[0] >= 0.0)[1],  # country A money rate
+        _switch(lambda k: _rates_at_k(s, k)[1] >= 0.0)[1],  # country B money rate
         0.0,
     )
     hi = min(
-        _largest_true(lambda k: rates(k)[3] >= 0.0),  # A's production of good 2
-        _largest_true(lambda k: rates(k)[4] >= 0.0),  # B's production of good 1
+        _switch(lambda k: not _rates_at_k(s, k)[3] >= 0.0)[0],  # A's production of good 2
+        _switch(lambda k: not _rates_at_k(s, k)[4] >= 0.0)[0],  # B's production of good 1
     )
     return KInterval(lo, hi)

@@ -148,7 +148,7 @@ def test_criterion_5_reference_region_reproduction():
     alpha1, alpha2 = y1 - two.prices1.x_a, y2 - two.prices2.x_a
     beta1, beta2 = y1 - two.prices1.x_b, y2 - two.prices2.x_b
     margin_to_boundary = math.inf
-    for sig, eta, k, cell in scan.rows():
+    for sig, eta, k, *_, feasible in scan.rows():
         # independent oracle: keep sigma2 explicit and evaluate the original
         # conditions from the fixed-point productions
         sigma2 = balanced_sigma2(sig, eta, two.eta_b2, y1, y2)
@@ -163,8 +163,8 @@ def test_criterion_5_reference_region_reproduction():
             and p_a2 >= 0.0
             and p_b1 >= 0.0
         )
-        assert cell.feasible == oracle
-        assert cell.feasible == (k_lo <= k <= k_hi)
+        assert feasible == oracle
+        assert feasible == (k_lo <= k <= k_hi)
         margin_to_boundary = min(margin_to_boundary, abs(k - k_lo), abs(k - k_hi))
     assert margin_to_boundary > 1e-6  # boundary comparisons are unambiguous
     assert elapsed < 5.0, f"scan took {elapsed:.2f} s"

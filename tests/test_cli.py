@@ -1,3 +1,5 @@
+import hashlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +168,50 @@ def test_region_is_byte_stable(tmp_path):
                      "--out", str(out)]) == EXIT_OK
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_region_overflow_is_an_input_error(tmp_path, capsys):
+    text = (SCENARIO_DIR / "fig2.scenario").read_text()
+    path = tmp_path / "overflow.scenario"
+    path.write_text(text[: text.index("[grid]")] + """
+[grid]
+sigma1_min = 0.5
+sigma1_max = 1e308
+sigma1_steps = 3
+eta_min = 1.5
+eta_max = 1e308
+eta_steps = 3
+""")
+    out = tmp_path / "overflow.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["region", str(path), "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")]
+    assert not out.exists()
+
+
+# sha256 of outputs computed with IEEE + - * / only (no exp), so the same on
+# every platform; refactors must keep these files byte-identical
+PINNED_OUTPUTS = [
+    (["region", "fig2.scenario"],
+     "29d5e828bc9b506107f6bbea8a5110fcad8c749e6656e9c60738378ccc0f5c43"),
+    (["simulate", "crossing.scenario", "--numeric"],
+     "a4f7c5e3a6582dda7611fecc6b922d2c0cf4bea005d2bd901eeb77dd94034275"),
+    (["simulate", "steady_state.scenario", "--numeric"],
+     "766de9b5d8dffc226080c8264fd0a36bf5e7d43029bc984493ea26bc049a1f72"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_OUTPUTS)
+def test_output_bytes_match_pinned_digest(tmp_path, argv, digest):
+    command, scenario, *flags = argv
+    out = tmp_path / "out.csv"
+    assert main([command, str(SCENARIO_DIR / scenario), *flags, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_region_empty_is_still_success(tmp_path, capsys):

@@ -5,7 +5,7 @@ from tradeflow.core import GoodEconomy, PriceSet, TwoGoodScenario
 from tradeflow.money import feasibility_check
 from tradeflow.region import GridSpec, feasible_k_interval, scan_region
 
-from test_money import fig_scenario
+from test_money import fig_scenario, random_valid_scenario
 
 
 def small_grid(**kw):
@@ -34,13 +34,46 @@ def test_axis_nodes_come_from_endpoint_interpolation():
     assert sig[13] == 0.5 + (10.0 - 0.5) * (13 / 39)
 
 
-def test_degenerate_grid_equals_direct_invocation():
-    s = fig_scenario()
-    grid = GridSpec(1.0, 2.0, 2, 2.0, 3.0, 2)
+def assert_scan_equals_per_node_check(s, grid):
     scan = scan_region(s, grid)
-    for i, eta in enumerate([2.0, 3.0]):
-        for j, sig in enumerate([1.0, 2.0]):
-            assert scan.cells[i][j] == feasibility_check(s, sig, eta_a1=eta)
+    sig_vals, eta_vals = grid.sigma1_values(), grid.eta_values()
+    assert scan.sigma1.tolist() == sig_vals and scan.eta_a1.tolist() == eta_vals
+    ref = [[feasibility_check(s, sig, eta_a1=eta) for sig in sig_vals] for eta in eta_vals]
+    expected = {
+        "k": [[sig * (eta - 1.0) for sig in sig_vals] for eta in eta_vals],
+        **{name: [[getattr(r, name) for r in row] for row in ref]
+           for name in ("dm_a", "dm_b", "p_a2", "p_b1", "feasible")},
+    }
+    for name, values in expected.items():
+        want = np.array(values)
+        got = getattr(scan, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name  # bit for bit
+    return scan
+
+
+def test_array_scan_equals_per_node_feasibility_check():
+    fig2_grid = small_grid(sigma1_steps=200, eta_steps=200)
+    assert_scan_equals_per_node_check(fig_scenario(), fig2_grid)
+
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        s = random_valid_scenario(rng)
+        # nodes start at sigma1 = 0 and eta_a1 = 1, where k is exactly 0
+        grid = GridSpec(0.0, rng.uniform(0.5, 10.0), 7, 1.0, 1.0 + rng.uniform(0.5, 5.0), 6)
+        assert_scan_equals_per_node_check(s, grid)
+
+    # eta_a1 - 1 == 1 on the first row, so k == sigma1 there and the three
+    # sigma1 nodes are an interval endpoint and its two float neighbours
+    s = fig_scenario()
+    interval = feasible_k_interval(s)
+    for end, first_row in ((interval.lo, [False, True, True]),
+                           (interval.hi, [True, True, False])):
+        grid = GridSpec(np.nextafter(end, -np.inf), np.nextafter(end, np.inf), 3,
+                        2.0, 3.0, 2)
+        scan = assert_scan_equals_per_node_check(s, grid)
+        assert scan.sigma1[1] == end
+        assert scan.feasible[0].tolist() == first_row
 
 
 def test_rows_are_row_major_in_eta():
@@ -57,8 +90,8 @@ def test_scanner_agrees_with_the_closed_form_interval():
     s = fig_scenario()
     scan = scan_region(s, small_grid())
     interval = feasible_k_interval(s)
-    for sig, eta, k, cell in scan.rows():
-        assert cell.feasible == interval.contains(k)
+    for sig, eta, k, *_, feasible in scan.rows():
+        assert feasible == interval.contains(k)
 
 
 def test_reference_interval_endpoints():
@@ -97,8 +130,8 @@ def test_zero_importer_consumption_forces_k_to_zero():
     s = TwoGoodScenario(good1, good2, PriceSet(1.0, 3.0, 2.0),
                         PriceSet(5.0, 2.0, 4.0), 2.0, 2.0)
     scan = scan_region(s, GridSpec(0.0, 2.0, 5, 1.0, 3.0, 5))
-    for sig, eta, k, cell in scan.rows():
-        if cell.feasible:
+    for sig, eta, k, *_, feasible in scan.rows():
+        if feasible:
             assert k == 0.0
 
 
@@ -109,20 +142,3 @@ def test_feasible_set_is_contiguous_along_rows():
         idx = np.flatnonzero(row)
         if len(idx):
             assert np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
-
-
-def test_parallelism_does_not_change_the_result(monkeypatch):
-    s = fig_scenario()
-    grid = small_grid(sigma1_steps=16, eta_steps=16)
-    serial = scan_region(s, grid, max_workers=1)
-    threaded = scan_region(s, grid, max_workers=4)
-    assert serial.cells == threaded.cells
-    monkeypatch.setenv("TRADEFLOW_THREADS", "3")
-    via_env = scan_region(s, grid)
-    assert via_env.cells == serial.cells
-
-
-def test_thread_env_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("TRADEFLOW_THREADS", "many")
-    with pytest.raises(ValueError, match="TRADEFLOW_THREADS"):
-        scan_region(fig_scenario(), GridSpec(1.0, 2.0, 2, 2.0, 3.0, 2))
