@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GoodEconomy, NormalizedState, Regime
-from .exchange import regime_from_sides, rhs
+from .exchange import GUARD_STATE_TOL, bisect, regime_from_sides, rhs
 
 __all__ = [
     "ExpLinear",
@@ -32,9 +32,6 @@ __all__ = [
 #: Hard cap on segments per trajectory; continuous fields cannot chatter, so
 #: hitting this indicates a pathological tangency or a bug.
 MAX_SEGMENTS = 1_000_000
-
-#: Residual |eta - 1| allowed at a localized crossing.
-_GUARD_STATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -251,17 +248,10 @@ def _ok(form: ExpLinear, above: bool, t: float) -> bool:
 def _bisect_crossing(form: ExpLinear, above: bool, lo: float, hi: float, tol: float) -> float:
     """Shrink a bracket (side holds at lo, violated at hi) and return the
     violated endpoint, refining past tol until the stock sits on the guard."""
-    while True:
-        width = hi - lo
-        if width <= tol and abs(form.value(hi) - 1.0) <= _GUARD_STATE_TOL:
-            return hi
-        mid = lo + 0.5 * width
-        if mid <= lo or mid >= hi:
-            return hi  # float resolution exhausted
-        if _ok(form, above, mid):
-            lo = mid
-        else:
-            hi = mid
+    return bisect(
+        lambda t: not _ok(form, above, t), lo, hi, tol,
+        settled=lambda t: abs(form.value(t) - 1.0) <= GUARD_STATE_TOL,
+    )[1]
 
 
 def _interior_extremum(form: ExpLinear, lo: float, hi: float, tol: float) -> float | None:
@@ -274,15 +264,7 @@ def _interior_extremum(form: ExpLinear, lo: float, hi: float, tol: float) -> flo
     if not (d_lo < 0.0 < d_hi or d_hi < 0.0 < d_lo):
         return None
     lo_sign = d_lo < 0.0
-    while hi - lo > tol:
-        mid = lo + 0.5 * (hi - lo)
-        if mid <= lo or mid >= hi:
-            break
-        if (form.derivative(mid) < 0.0) == lo_sign:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return bisect(lambda t: (form.derivative(t) < 0.0) != lo_sign, lo, hi, tol)[1]
 
 
 def _first_violation(form: ExpLinear, above: bool, dt_max: float, tol: float) -> float | None:

@@ -15,12 +15,8 @@ import numpy as np
 
 from .analytic import PiecewiseTrajectory, simulate_analytic
 from .core import GoodEconomy, MoneyState, PriceSet
-from .integrator import (
-    DepletionPolicy,
-    TimeSeries,
-    _make_deriv,
-    integrate_with_events,
-)
+from .exchange import exchange_flow, flow_array
+from .integrator import DepletionPolicy, TimeSeries, integrate_with_events
 from .money import one_good_money_rates
 from .region import feasible_k_interval, scan_region
 from .scenario import Scenario, ScenarioError, parse_scenario
@@ -46,10 +42,23 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _fail(*messages: str) -> int:
+def _fail(*messages: str, code: int = EXIT_INPUT) -> int:
     for m in messages:
         print(f"error: {m}", file=sys.stderr)
-    return EXIT_INPUT
+    return code
+
+
+def _unwritable(*paths: Path | None) -> str | None:
+    """Why one of the files a command will write (None: not written) cannot
+    be, checked before any compute."""
+    for path in paths:
+        if path is None:
+            continue
+        if path.is_dir():
+            return f"cannot write {path}: it is a directory"
+        if not path.parent.is_dir():
+            return f"cannot write {path}: directory {path.parent} does not exist"
+    return None
 
 
 def _load(path: str) -> Scenario | None:
@@ -66,12 +75,8 @@ def _write_lines(path: Path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _flow_array(eta_a: np.ndarray, eta_b: np.ndarray) -> np.ndarray:
-    return np.maximum(eta_a - 1.0, 0.0) - np.maximum(eta_b - 1.0, 0.0)
-
-
 def _write_timeseries(path: Path, series: TimeSeries) -> None:
-    flow = _flow_array(series.eta_a, series.eta_b)
+    flow = flow_array(series.eta_a, series.eta_b)
     with_money = series.m_a is not None
     header = "t,eta_a,eta_b,regime,f" + (",m_a,m_b" if with_money else "")
     lines = [header]
@@ -124,12 +129,13 @@ def _money_along(
     The rates depend on time only through the known state, so fourth-order
     stepping reduces to Simpson quadrature over each sample interval.
     """
-    deriv = _make_deriv(econ, prices)
+    sig, y = econ.sigma, prices.y
+    base_a = -prices.x_a * econ.p_a + y * econ.c_a
+    base_b = -prices.x_b * econ.p_b + y * econ.c_b
 
     def money_rates(t: float) -> tuple[float, float]:
-        s = traj.state_at(float(t))
-        _, _, dma, dmb = deriv(s.eta_a, s.eta_b)
-        return dma, dmb
+        sf = sig * exchange_flow(traj.state_at(float(t)))
+        return base_a + y * sf, base_b - y * sf
 
     ma = money0.m_a if money0 is not None else 0.0
     mb = money0.m_b if money0 is not None else 0.0
@@ -197,35 +203,50 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     econ, prices, opts = sc.good1, sc.prices1, sc.solver
     state0, money0 = sc.initial, sc.initial_money
     out = Path(args.out)
+    script = out.with_suffix(".gnuplot")
+    cmp_path = out.with_name(out.stem + ".compare" + out.suffix)
+    problem = _unwritable(
+        out, script if args.plot else None, cmp_path if args.mode == "both" else None
+    )
+    if problem is not None:
+        return _fail(problem)
 
-    numeric = None
-    if args.mode in ("numeric", "both"):
-        numeric = integrate_with_events(state0, econ, opts, prices=prices, money0=money0)
-    traj = None
-    if args.mode in ("analytic", "both"):
-        traj = simulate_analytic(state0, econ, opts.horizon, event_tol=opts.event_tol)
+    numeric = reference = disc = sup = None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.mode in ("numeric", "both"):
+                numeric = integrate_with_events(state0, econ, opts, prices=prices, money0=money0)
+            if args.mode in ("analytic", "both"):
+                traj = simulate_analytic(state0, econ, opts.horizon, event_tol=opts.event_tol)
+            if args.mode == "analytic":
+                series = _analytic_series(traj, econ, prices, money0, opts.step)
+            else:
+                series = numeric
+            if args.mode == "both":
+                reference = traj.states_at(numeric.times)
+                diff_a = np.abs(numeric.eta_a - reference[:, 0])
+                diff_b = np.abs(numeric.eta_b - reference[:, 1])
+                disc = np.maximum(diff_a, diff_b)
+    except (ValueError, RuntimeError) as exc:
+        return _fail(f"simulate --{args.mode} failed: {exc}", code=EXIT_NUMERIC)
+    columns = (series.times, series.eta_a, series.eta_b, series.m_a, series.m_b, reference, disc)
+    if not all(c is None or np.isfinite(c).all() for c in columns):
+        return _fail(
+            f"simulate --{args.mode} produced a non-finite value (a stock or money "
+            "holding overflows); no file written",
+            code=EXIT_NUMERIC,
+        )
 
-    if args.mode == "analytic":
-        series = _analytic_series(traj, econ, prices, money0, opts.step)
-    else:
-        series = numeric
     _write_timeseries(out, series)
     print(f"wrote {len(series)} samples to {out}")
     for t, desc in series.events:
         print(f"event t={_fmt(t)}: {desc}")
     if args.plot:
-        script = out.with_suffix(".gnuplot")
         _write_lines(script, _timeseries_plot_script(out.name, series.m_a is not None))
         print(f"wrote plot script {script}")
 
-    sup = None
     if args.mode == "both":
-        reference = traj.states_at(numeric.times)
-        diff_a = np.abs(numeric.eta_a - reference[:, 0])
-        diff_b = np.abs(numeric.eta_b - reference[:, 1])
-        disc = np.maximum(diff_a, diff_b)
         sup = float(disc.max()) if len(disc) else 0.0
-        cmp_path = out.with_name(out.stem + ".compare" + out.suffix)
         lines = ["t,eta_a_numeric,eta_b_numeric,eta_a_analytic,eta_b_analytic,discrepancy"]
         for i in range(len(numeric)):
             lines.append(
@@ -237,12 +258,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"sup-norm discrepancy: {_fmt(sup)}")
 
     if sup is not None and sup > SUP_DISCREPANCY_TOL:
-        print(
-            f"error: analytic/numeric discrepancy {_fmt(sup)} exceeds "
-            f"{_fmt(SUP_DISCREPANCY_TOL)}",
-            file=sys.stderr,
+        return _fail(
+            f"analytic/numeric discrepancy {_fmt(sup)} exceeds {_fmt(SUP_DISCREPANCY_TOL)}",
+            code=EXIT_NUMERIC,
         )
-        return EXIT_NUMERIC
     if numeric is not None:
         t_dep = _depletion_time(numeric)
         if t_dep is not None and opts.depletion_policy is DepletionPolicy.HALT:
@@ -293,6 +312,11 @@ def cmd_region(args: argparse.Namespace) -> int:
         return _fail("region requires a two-good scenario")
     if sc.grid is None:
         return _fail("region requires a [grid] section")
+    out = Path(args.out)
+    script = out.with_suffix(".gnuplot")
+    problem = _unwritable(out, script if args.plot else None)
+    if problem is not None:
+        return _fail(problem)
     two = sc.two_good()
     try:
         scan = scan_region(two, sc.grid)
@@ -311,12 +335,10 @@ def cmd_region(args: argparse.Namespace) -> int:
             f"{_fmt(sig)},{_fmt(eta)},{_fmt(k)},{_fmt(dm_a)},{_fmt(dm_b)},"
             f"{_fmt(p_a2)},{_fmt(p_b1)},{int(feasible)}"
         )
-    out = Path(args.out)
     _write_lines(out, lines)
     total = scan.grid.sigma1_steps * scan.grid.eta_steps
     print(f"wrote {total} nodes to {out}")
     if args.plot:
-        script = out.with_suffix(".gnuplot")
         _write_lines(
             script,
             [

@@ -3,14 +3,24 @@
 This module is the single source of truth for the piecewise right-hand side:
 each country contributes its excess stock above the threshold, and the net
 flow is the difference of the two excesses. The flow is continuous, so the
-branch convention at the threshold never changes a trajectory.
+branch convention at the threshold never changes a trajectory. It also owns
+the location of threshold crossings: one bracketing bisection and the
+residual a localized crossing may leave.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
+import numpy as np
+
 from .core import GoodEconomy, NormalizedState, Regime
 
-__all__ = ["exchange_flow", "classify_regime", "regime_from_sides", "rhs"]
+__all__ = ["GUARD_STATE_TOL", "bisect", "exchange_flow", "flow_array", "classify_regime",
+           "regime_from_sides", "rhs"]
+
+#: Residual |eta - guard| allowed at a localized crossing.
+GUARD_STATE_TOL = 1e-9
 
 
 def _flow(eta_a: float, eta_b: float) -> float:
@@ -32,6 +42,11 @@ def exchange_flow(state: NormalizedState) -> float:
     excesses when both are.
     """
     return _flow(state.eta_a, state.eta_b)
+
+
+def flow_array(eta_a: np.ndarray, eta_b: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`exchange_flow` over arrays of stock levels."""
+    return np.maximum(eta_a - 1.0, 0.0) - np.maximum(eta_b - 1.0, 0.0)
 
 
 def regime_from_sides(a_above: bool, b_above: bool) -> Regime:
@@ -61,3 +76,21 @@ def rhs(state: NormalizedState, econ: GoodEconomy) -> tuple[float, float]:
     net production rate regardless of sigma or the state (up to rounding).
     """
     return _rhs(state.eta_a, state.eta_b, econ)
+
+
+def bisect(past: Callable[[float], bool], lo: float, hi: float, tol: float = 0.0,
+           settled: Callable[[float], bool] | None = None) -> tuple[float, float]:
+    """Shrink a bracket (``past`` false at lo, true at hi) until its width is
+    at most ``tol`` and ``settled(hi)`` holds (or ``settled`` is None), or
+    until the midpoint no longer splits it. Returns the final (lo, hi)."""
+    while True:
+        width = hi - lo
+        if width <= tol and (settled is None or settled(hi)):
+            return lo, hi
+        mid = lo + 0.5 * width
+        if mid <= lo or mid >= hi:
+            return lo, hi
+        if past(mid):
+            hi = mid
+        else:
+            lo = mid

@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from .core import GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
+from .exchange import GUARD_STATE_TOL, bisect, regime_from_sides
 
 __all__ = [
     "DepletionPolicy",
@@ -33,14 +33,11 @@ __all__ = [
     "integrate_with_events",
 ]
 
-_GUARD_STATE_TOL = 1e-9
-
-_REGIME_BY_CODE = {
-    0: Regime.NO_EXCHANGE,
-    1: Regime.A_EXPORTS,
-    2: Regime.B_EXPORTS,
-    3: Regime.BILATERAL,
-}
+#: Regime of each sample, indexed by (eta_a > 1) + 2*(eta_b > 1).
+_REGIME_LUT = np.array(
+    [regime_from_sides(bool(code & 1), bool(code & 2)) for code in range(4)],
+    dtype=object,
+)
 
 
 class DepletionPolicy(Enum):
@@ -110,39 +107,12 @@ class TimeSeries:
         return self.state(len(self) - 1)
 
 
-def _make_deriv(
-    econ: GoodEconomy, prices: PriceSet | None
-) -> Callable[[float, float], tuple[float, float, float, float]]:
-    """Derivative of (eta_a, eta_b, m_a, m_b); money rates are zero without
-    prices. The stock part matches exchange.rhs bit for bit."""
-    sig = econ.sigma
-    na = econ.p_a - econ.c_a
-    nb = econ.p_b - econ.c_b
-    if prices is not None:
-        y = prices.y
-        base_a = -prices.x_a * econ.p_a + y * econ.c_a
-        base_b = -prices.x_b * econ.p_b + y * econ.c_b
-    else:
-        y = base_a = base_b = 0.0
-
-    # exchange._flow inlined for the hot loop; the bit-equality with
-    # exchange.rhs is pinned by a test
-    def deriv(ea: float, eb: float) -> tuple[float, float, float, float]:
-        ex_a = ea - 1.0
-        if ex_a < 0.0:
-            ex_a = 0.0
-        ex_b = eb - 1.0
-        if ex_b < 0.0:
-            ex_b = 0.0
-        sf = sig * (ex_a - ex_b)
-        return na - sf, nb + sf, base_a + y * sf, base_b - y * sf
-
-    return deriv
-
-
 def _make_rk4(econ: GoodEconomy, prices: PriceSet | None):
-    """Classical four-stage step of (eta_a, eta_b, m_a, m_b) as one closure;
-    the stages inline _make_deriv's arithmetic for the hot loop."""
+    """Classical four-stage step of (eta_a, eta_b, m_a, m_b) as one closure.
+
+    Each stage inlines the stock derivative of exchange.rhs and the money
+    rates base + y*sigma*f for the hot loop; the bit-equality of the stock
+    part with rhs is pinned by a test."""
     sig = econ.sigma
     na = econ.p_a - econ.c_a
     nb = econ.p_b - econ.c_b
@@ -232,22 +202,11 @@ def _bisect_guard(step_fn, idx: int, target: float, above0: bool, h_step: float,
     """Earliest partial-step length at which component ``idx`` has left the
     side it held at the step start; returns (tau, state tuple at tau), with
     the state strictly past the crossing."""
-    lo = 0.0
-    hi = h_step
-    y_hi = step_fn(hi)
-    while True:
-        width = hi - lo
-        if width <= tol and abs(y_hi[idx] - target) <= _GUARD_STATE_TOL:
-            return hi, y_hi
-        mid = lo + 0.5 * width
-        if mid <= lo or mid >= hi:
-            return hi, y_hi
-        y_mid = step_fn(mid)
-        if (y_mid[idx] > target) == above0:
-            lo = mid
-        else:
-            hi = mid
-            y_hi = y_mid
+    _, tau = bisect(
+        lambda h: (step_fn(h)[idx] > target) != above0, 0.0, h_step, tol,
+        settled=lambda h: abs(step_fn(h)[idx] - target) <= GUARD_STATE_TOL,
+    )
+    return tau, step_fn(tau)
 
 
 def integrate_with_events(
@@ -289,15 +248,11 @@ def integrate_with_events(
     mbs = [mb]
     events: list[tuple[float, str]] = []
 
-    regime_lut = np.array(
-        [_REGIME_BY_CODE[code] for code in range(4)], dtype=object
-    )
-
     def build() -> TimeSeries:
         ea_arr = np.array(eas)
         eb_arr = np.array(ebs)
         codes = (ea_arr > 1.0).astype(np.int8) + 2 * (eb_arr > 1.0).astype(np.int8)
-        regimes = list(regime_lut[codes])
+        regimes = list(_REGIME_LUT[codes])
         return TimeSeries(
             times=np.array(ts),
             eta_a=ea_arr,

@@ -22,6 +22,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import TwoGoodScenario
+from .exchange import bisect
 
 # feasibility_check is the per-node reference the scan reproduces; it stays
 # importable from here because perfbench counts calls to it through this module.
@@ -160,14 +161,7 @@ def _switch(pred: Callable[[float], bool]) -> tuple[float, float]:
         hi *= 2.0
         if hi > _BRACKET_CAP:
             return math.inf, math.inf
-    while True:
-        mid = lo + 0.5 * (hi - lo)
-        if mid <= lo or mid >= hi:
-            return lo, hi
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
+    return bisect(pred, lo, hi)
 
 
 def feasible_k_interval(s: TwoGoodScenario) -> KInterval:

@@ -24,6 +24,7 @@ from .core import (
 )
 from .integrator import DepletionPolicy, SolverOptions
 from .region import GridSpec
+from .steady import fixed_point_production
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_text", "serialize_scenario"]
 
@@ -233,20 +234,12 @@ def _parse_good(cp, section, exporter, required, default_eta, problems):
                 )
                 return None, None
             eta_star = _DEFAULT_ETA_STAR
-        if eta_star < 1.0:
-            problems.append(f"[{section}].eta_star must be >= 1, got {eta_star!r}")
-            return None, None
-        outflow = sigma * (eta_star - 1.0)
         c_exp, c_imp = (c_a, c_b) if exporter == "a" else (c_b, c_a)
-        if outflow > c_imp:
-            problems.append(
-                f"[{section}]: eta_star = {eta_star!r} implies a negative production "
-                f"for the importer (sigma*(eta_star - 1) = {outflow!r} exceeds its "
-                f"consumption {c_imp!r})"
-            )
+        try:
+            p_exp, p_imp = fixed_point_production(eta_star, c_exp, c_imp, sigma)
+        except ValueError as exc:
+            problems.append(f"[{section}]: {exc}")
             return None, None
-        p_exp = c_exp + outflow
-        p_imp = c_imp - outflow
         p_a, p_b = (p_exp, p_imp) if exporter == "a" else (p_imp, p_exp)
     try:
         return GoodEconomy(p_a=p_a, p_b=p_b, c_a=c_a, c_b=c_b, sigma=sigma), eta_star

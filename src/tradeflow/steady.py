@@ -22,25 +22,28 @@ def fixed_point_production(
 ) -> tuple[float, float]:
     """Production rates that hold (eta_a_star, eta_b < 1) stationary.
 
-    Country A overproduces by exactly the outflow sigma*(eta_a_star - 1) and
-    country B underproduces by the same amount. Raises when the implied p_b
-    would be negative, i.e. when sigma*(eta_a_star - 1) exceeds c_b.
+    The exporter A overproduces by exactly the outflow sigma*(eta_a_star - 1)
+    and the importer B underproduces by the same amount; swap the roles of
+    c_a and c_b for a good that B exports. Raises when the importer's
+    production would be negative.
     """
-    for name, v in (("eta_a_star", eta_a_star), ("c_a", c_a), ("c_b", c_b), ("sigma", sigma)):
+    for name, v in (("eta_star", eta_a_star), ("the exporter's consumption", c_a),
+                    ("the importer's consumption", c_b), ("sigma", sigma)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
     if eta_a_star < 1.0:
         raise ValueError(
-            f"eta_a_star must be >= 1 (at or above the exchange threshold), got {eta_a_star!r}"
+            f"eta_star must be >= 1 (at or above the exchange threshold), got {eta_a_star!r}"
         )
     if sigma < 0.0 or c_a < 0.0 or c_b < 0.0:
-        raise ValueError("c_a, c_b and sigma must be >= 0")
+        raise ValueError("consumptions and sigma must be >= 0")
     outflow = sigma * (eta_a_star - 1.0)
     p_b = c_b - outflow
     if p_b < 0.0:
         raise ValueError(
-            f"infeasible fixed point: sigma*(eta_a_star - 1) = {outflow!r} exceeds "
-            f"c_b = {c_b!r}, implying a negative production rate for country B"
+            f"infeasible fixed point: sigma*(eta_star - 1) = {outflow!r} exceeds "
+            f"the importer's consumption {c_b!r}, implying a negative production "
+            "rate for the importer"
         )
     return c_a + outflow, p_b
 

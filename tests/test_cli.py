@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tradeflow.cli import EXIT_DEPLETION, EXIT_INPUT, EXIT_OK, main
+from tradeflow import cli
+from tradeflow.cli import EXIT_DEPLETION, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from tradeflow.integrator import integrate_with_events
+from tradeflow.scenario import parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -96,6 +99,84 @@ depletion_policy = halt
     assert code == EXIT_DEPLETION
     _, rows = _rows(out)
     assert abs(float(rows[-1][0]) - 2.5) <= 1e-6  # truncated at the crossing
+
+
+@pytest.mark.parametrize("mode", ["numeric", "analytic", "both"])
+def test_non_finite_state_exits_numeric(tmp_path, capsys, mode):
+    path = tmp_path / "overflow.scenario"
+    path.write_text("""
+[model]
+kind = one-good
+
+[good1]
+p_a = 1e308
+p_b = 1
+c_a = 1
+c_b = 1
+sigma = 1e308
+
+[initial]
+eta_a = 1e308
+eta_b = 0.5
+
+[solver]
+horizon = 1
+step = 0.1
+""")
+    out = tmp_path / "overflow.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", str(path), f"--{mode}", "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert not list(tmp_path.glob("overflow*.csv"))
+
+
+@pytest.mark.parametrize("command, scenario, engines", [
+    ("simulate", "crossing.scenario", ("integrate_with_events", "simulate_analytic")),
+    ("region", "fig2.scenario", ("scan_region",)),
+])
+def test_unusable_out_exits_before_any_compute(tmp_path, capsys, monkeypatch,
+                                               command, scenario, engines):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute ran before the output path was checked")
+
+    for name in engines:
+        monkeypatch.setattr(cli, name, no_compute)
+    (tmp_path / "plot.gnuplot").mkdir()
+    for out, flags in ((tmp_path, []), (tmp_path / "missing" / "out.csv", []),
+                       (tmp_path / "plot.csv", ["--plot"])):
+        code = main([command, str(SCENARIO_DIR / scenario), "--out", str(out), *flags])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
+CROSSING_WITH_PRICES = (SCENARIO_DIR / "crossing.scenario").read_text().replace(
+    "eta_b = 0.5\n", "eta_b = 0.5\nm_a = 0.5\nm_b = -0.25\n"
+) + "\n[prices1]\nx_a = 1\nx_b = 3\ny = 2\n"
+
+
+@pytest.mark.parametrize("text", [
+    (SCENARIO_DIR / "steady_state.scenario").read_text(),
+    CROSSING_WITH_PRICES,
+], ids=["steady_state", "crossing_with_prices"])
+def test_closed_form_money_matches_rk4_co_integration(tmp_path, text):
+    path = tmp_path / "run.scenario"
+    path.write_text(text)
+    sc = parse_scenario(path)
+    numeric = integrate_with_events(sc.initial, sc.good1, sc.solver,
+                                    prices=sc.prices1, money0=sc.initial_money)
+    out = tmp_path / "run.csv"
+    assert main(["simulate", str(path), "--analytic", "--out", str(out)]) == EXIT_OK
+    header, rows = _rows(out)
+    assert header[-2:] == ["m_a", "m_b"]
+    assert {row[3] for row in rows} == {r.value for r in numeric.regimes}
+    for analytic, rk4 in ((float(rows[-1][-2]), numeric.m_a[-1]),
+                          (float(rows[-1][-1]), numeric.m_b[-1])):
+        assert abs(analytic - rk4) <= 1e-7 * max(1.0, abs(rk4))
 
 
 def test_simulate_rejects_two_good(tmp_path):
@@ -203,6 +284,9 @@ PINNED_OUTPUTS = [
      "a4f7c5e3a6582dda7611fecc6b922d2c0cf4bea005d2bd901eeb77dd94034275"),
     (["simulate", "steady_state.scenario", "--numeric"],
      "766de9b5d8dffc226080c8264fd0a36bf5e7d43029bc984493ea26bc049a1f72"),
+    # a single segment with coef == 0: the money columns take no exp either
+    (["simulate", "steady_state.scenario", "--analytic"],
+     "dc5949a3360201c3465c4f7308adbb3e73e83796708aca813df229b90b4cb597"),
 ]
 
 

@@ -11,7 +11,6 @@ from tradeflow.integrator import (
     DepletionPolicy,
     SolverOptions,
     TimeSeries,
-    _make_deriv,
     integrate_with_events,
     rk4_step,
 )
@@ -24,16 +23,6 @@ def _opts(**kw):
 
 
 # ------------------------------------------------------------- kernel
-
-def test_deriv_closure_matches_rhs_bitwise():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        econ = GoodEconomy(*rng.uniform(0, 5, size=4), rng.uniform(0, 5))
-        ea, eb = rng.uniform(-1, 3, size=2)
-        da, db, dma, dmb = _make_deriv(econ, None)(ea, eb)
-        assert (da, db) == rhs(NormalizedState(ea, eb), econ)
-        assert dma == 0.0 and dmb == 0.0
-
 
 def test_rk4_kernel_matches_manual_stages_built_from_rhs():
     # the inlined stage arithmetic must be indistinguishable from stepping

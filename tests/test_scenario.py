@@ -146,10 +146,33 @@ def test_non_numeric_values_are_located():
         parse_scenario_text(ONE_GOOD.replace("sigma = 1", "sigma = fast"))
 
 
-def test_eta_star_beyond_the_importers_consumption():
-    text = ONE_GOOD.replace("p_a = 1.25\np_b = 1\n", "eta_star = 3\n")
-    with pytest.raises(ScenarioError, match="negative production"):
+@pytest.mark.parametrize("section", ["good1", "good2"])
+def test_eta_star_beyond_the_importers_consumption(section):
+    if section == "good1":  # A exports good 1: outflow 2 exceeds c_b = 1
+        text = ONE_GOOD.replace("p_a = 1.25\np_b = 1\n", "eta_star = 3\n")
+    else:  # B exports good 2: outflow 6 exceeds c_a = 5
+        text = ONE_GOOD.replace("one-good", "two-good") + """
+[prices1]
+x_a = 1
+x_b = 3
+y = 2
+
+[good2]
+c_a = 5
+c_b = 2
+sigma = 2
+eta_star = 4
+
+[prices2]
+x_a = 5
+x_b = 2
+y = 4
+"""
+    with pytest.raises(ScenarioError, match="negative production") as err:
         parse_scenario_text(text)
+    assert len(err.value.problems) == 1
+    problem = err.value.problems[0]
+    assert problem.startswith(f"[{section}]: ") and "importer" in problem
 
 
 def test_one_good_must_not_define_good2():
