@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,10 @@ EXIT_DEPLETION = 3
 
 #: Largest analytic/numeric discrepancy tolerated by `simulate --both`.
 SUP_DISCREPANCY_TOL = 1e-6
+
+#: Rows formatted per `%` call by `_write_csv`; bounds the Python objects
+#: alive at once while keeping the per-call overhead negligible.
+_CHUNK_ROWS = 2048
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,20 +80,32 @@ def _write_lines(path: Path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_csv(path: Path, header: str, columns: list) -> None:
+    """Write parallel columns under a header line: float arrays as ``%.17g``
+    (the bytes of ``f"{x:.17g}"``), bool arrays as 0/1, lists of strings as
+    they are. Each block of rows is formatted by a single ``%``."""
+    fmt = ",".join(
+        "%s" if not isinstance(c, np.ndarray) else "%d" if c.dtype == bool else "%.17g"
+        for c in columns
+    ) + "\n"
+    n = len(columns[0])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n)
+            block = [c[lo:hi].tolist() if isinstance(c, np.ndarray) else c[lo:hi]
+                     for c in columns]
+            fh.write((fmt * (hi - lo)) % tuple(chain.from_iterable(zip(*block))))
+
+
 def _write_timeseries(path: Path, series: TimeSeries) -> None:
-    flow = flow_array(series.eta_a, series.eta_b)
-    with_money = series.m_a is not None
-    header = "t,eta_a,eta_b,regime,f" + (",m_a,m_b" if with_money else "")
-    lines = [header]
-    for i in range(len(series)):
-        row = (
-            f"{_fmt(series.times[i])},{_fmt(series.eta_a[i])},{_fmt(series.eta_b[i])},"
-            f"{series.regimes[i].value},{_fmt(flow[i])}"
-        )
-        if with_money:
-            row += f",{_fmt(series.m_a[i])},{_fmt(series.m_b[i])}"
-        lines.append(row)
-    _write_lines(path, lines)
+    header = "t,eta_a,eta_b,regime,f"
+    columns = [series.times, series.eta_a, series.eta_b,
+               [r.value for r in series.regimes], flow_array(series.eta_a, series.eta_b)]
+    if series.m_a is not None:
+        header += ",m_a,m_b"
+        columns += [series.m_a, series.m_b]
+    _write_csv(path, header, columns)
 
 
 def _timeseries_plot_script(data_name: str, with_money: bool) -> list[str]:
@@ -111,10 +128,9 @@ def _timeseries_plot_script(data_name: str, with_money: bool) -> list[str]:
 
 
 def _sample_times(horizon: float, step: float, extra: list[float]) -> np.ndarray:
-    n = int(horizon / step)
-    grid = [v for v in (i * step for i in range(n + 1)) if v <= horizon]
-    grid.append(horizon)
-    return np.unique(np.array(grid + [t for t in extra if 0.0 <= t <= horizon]))
+    grid = np.arange(int(horizon / step) + 1) * step
+    extra = [t for t in extra if 0.0 <= t <= horizon]
+    return np.unique(np.concatenate([grid[grid <= horizon], [horizon], extra]))
 
 
 def _money_along(
@@ -134,15 +150,15 @@ def _money_along(
     base_b = -prices.x_b * econ.p_b + y * econ.c_b
 
     def money_rates(t: float) -> tuple[float, float]:
-        sf = sig * exchange_flow(traj.state_at(float(t)))
+        sf = sig * exchange_flow(traj.state_at(t))
         return base_a + y * sf, base_b - y * sf
 
     ma = money0.m_a if money0 is not None else 0.0
     mb = money0.m_b if money0 is not None else 0.0
     mas = [ma]
     mbs = [mb]
-    for i in range(len(times) - 1):
-        t0, t1 = times[i], times[i + 1]
+    ts = times.tolist()
+    for t0, t1 in zip(ts, ts[1:]):
         h = t1 - t0
         ra0, rb0 = money_rates(t0)
         ram, rbm = money_rates(t0 + 0.5 * h)
@@ -163,7 +179,11 @@ def _analytic_series(
 ) -> TimeSeries:
     times = _sample_times(traj.horizon, step, traj.switch_times())
     states = traj.states_at(times)
-    regimes = [traj.regime_at(float(t)) for t in times]
+    # the rule of PiecewiseTrajectory.segment_at: boundaries belong to the
+    # later segment
+    starts = np.array([seg.t_start for seg in traj.segments])
+    owner = np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
+    regimes = [traj.segments[i].regime for i in owner.tolist()]
     if prices is not None:
         m_a, m_b = _money_along(traj, econ, prices, money0, times)
     else:
@@ -237,25 +257,29 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             code=EXIT_NUMERIC,
         )
 
-    _write_timeseries(out, series)
-    print(f"wrote {len(series)} samples to {out}")
-    for t, desc in series.events:
-        print(f"event t={_fmt(t)}: {desc}")
-    if args.plot:
-        _write_lines(script, _timeseries_plot_script(out.name, series.m_a is not None))
-        print(f"wrote plot script {script}")
-
-    if args.mode == "both":
-        sup = float(disc.max()) if len(disc) else 0.0
-        lines = ["t,eta_a_numeric,eta_b_numeric,eta_a_analytic,eta_b_analytic,discrepancy"]
-        for i in range(len(numeric)):
-            lines.append(
-                f"{_fmt(numeric.times[i])},{_fmt(numeric.eta_a[i])},{_fmt(numeric.eta_b[i])},"
-                f"{_fmt(reference[i, 0])},{_fmt(reference[i, 1])},{_fmt(disc[i])}"
+    path = out
+    try:
+        _write_timeseries(out, series)
+        print(f"wrote {len(series)} samples to {out}")
+        for t, desc in series.events:
+            print(f"event t={_fmt(t)}: {desc}")
+        if args.plot:
+            path = script
+            _write_lines(script, _timeseries_plot_script(out.name, series.m_a is not None))
+            print(f"wrote plot script {script}")
+        if args.mode == "both":
+            sup = float(disc.max()) if len(disc) else 0.0
+            path = cmp_path
+            _write_csv(
+                cmp_path,
+                "t,eta_a_numeric,eta_b_numeric,eta_a_analytic,eta_b_analytic,discrepancy",
+                [numeric.times, numeric.eta_a, numeric.eta_b,
+                 reference[:, 0], reference[:, 1], disc],
             )
-        _write_lines(cmp_path, lines)
-        print(f"wrote comparison to {cmp_path}")
-        print(f"sup-norm discrepancy: {_fmt(sup)}")
+            print(f"wrote comparison to {cmp_path}")
+            print(f"sup-norm discrepancy: {_fmt(sup)}")
+    except OSError as exc:
+        return _fail(f"cannot write {path}: {exc.strerror or exc}")
 
     if sup is not None and sup > SUP_DISCREPANCY_TOL:
         return _fail(
@@ -324,42 +348,44 @@ def cmd_region(args: argparse.Namespace) -> int:
         return _fail(str(exc))
     interval = feasible_k_interval(two)
 
-    lines = ["sigma1,eta_a1,k,dm_a,dm_b,p_a2,p_b1,feasible"]
-    feasible_count = 0
-    mismatch = None
-    for sig, eta, k, dm_a, dm_b, p_a2, p_b1, feasible in scan.rows():
-        if feasible != interval.contains(k):
-            mismatch = (sig, eta, k, feasible)
-        feasible_count += feasible
-        lines.append(
-            f"{_fmt(sig)},{_fmt(eta)},{_fmt(k)},{_fmt(dm_a)},{_fmt(dm_b)},"
-            f"{_fmt(p_a2)},{_fmt(p_b1)},{int(feasible)}"
+    total = scan.k.size
+    grid_columns = (scan.k, scan.dm_a, scan.dm_b, scan.p_a2, scan.p_b1, scan.feasible)
+    path = out
+    try:
+        _write_csv(
+            out,
+            "sigma1,eta_a1,k,dm_a,dm_b,p_a2,p_b1,feasible",
+            [np.broadcast_to(scan.sigma1, scan.k.shape).ravel(),
+             np.repeat(scan.eta_a1, len(scan.sigma1))] + [a.ravel() for a in grid_columns],
         )
-    _write_lines(out, lines)
-    total = scan.grid.sigma1_steps * scan.grid.eta_steps
-    print(f"wrote {total} nodes to {out}")
-    if args.plot:
-        _write_lines(
-            script,
-            [
-                "set datafile separator ','",
-                "set xlabel 'sigma1'",
-                "set ylabel 'eta_a1'",
-                f"plot '{out.name}' skip 1 using ($8 == 1 ? $1 : 1/0):2 "
-                "with points pt 7 ps 0.4 title 'feasible'",
-            ],
-        )
-        print(f"wrote plot script {script}")
+        print(f"wrote {total} nodes to {out}")
+        if args.plot:
+            path = script
+            _write_lines(
+                script,
+                [
+                    "set datafile separator ','",
+                    "set xlabel 'sigma1'",
+                    "set ylabel 'eta_a1'",
+                    f"plot '{out.name}' skip 1 using ($8 == 1 ? $1 : 1/0):2 "
+                    "with points pt 7 ps 0.4 title 'feasible'",
+                ],
+            )
+            print(f"wrote plot script {script}")
+    except OSError as exc:
+        return _fail(f"cannot write {path}: {exc.strerror or exc}")
     if interval.empty:
         print("empty region: no k satisfies all four conditions")
     else:
         print(f"feasible k interval: [{_fmt(interval.lo)}, {_fmt(interval.hi)}]")
-    print(f"feasible nodes: {feasible_count} of {total}")
-    if mismatch is not None:
-        sig, eta, k, feas = mismatch
+    print(f"feasible nodes: {int(scan.feasible.sum())} of {total}")
+    mismatch = ((interval.lo <= scan.k) & (scan.k <= interval.hi)) != scan.feasible
+    if mismatch.any():
+        i, j = np.argwhere(mismatch)[-1]  # the last in row-major order
         print(
-            f"error: scanner and closed form disagree at sigma1={_fmt(sig)}, "
-            f"eta_a1={_fmt(eta)} (k={_fmt(k)}, scanner says {feas})",
+            f"error: scanner and closed form disagree at sigma1={_fmt(float(scan.sigma1[j]))}, "
+            f"eta_a1={_fmt(float(scan.eta_a1[i]))} (k={_fmt(float(scan.k[i, j]))}, "
+            f"scanner says {bool(scan.feasible[i, j])})",
             file=sys.stderr,
         )
         return EXIT_NUMERIC

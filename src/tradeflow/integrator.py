@@ -33,6 +33,9 @@ __all__ = [
     "integrate_with_events",
 ]
 
+#: Most samples (horizon/step) a run may ask for; keeps its time and memory bounded.
+MAX_SAMPLES = 10**7
+
 #: Regime of each sample, indexed by (eta_a > 1) + 2*(eta_b > 1).
 _REGIME_LUT = np.array(
     [regime_from_sides(bool(code & 1), bool(code & 2)) for code in range(4)],
@@ -62,6 +65,15 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive and finite, got {v!r}")
             if type(v) is not float:
                 object.__setattr__(self, name, float(v))
+        if self.step > self.horizon:
+            raise ValueError(
+                f"step ({self.step!r}) must not exceed the horizon ({self.horizon!r})"
+            )
+        if self.horizon / self.step > MAX_SAMPLES:
+            raise ValueError(
+                f"horizon/step = {self.horizon / self.step:.6g} exceeds the cap of "
+                f"{MAX_SAMPLES} samples; raise step or shorten the horizon"
+            )
 
 
 @dataclass(eq=False)
@@ -224,10 +236,6 @@ def integrate_with_events(
     eta = 0 is localized the same way and terminates the series with a
     depletion event. Identical inputs produce bit-identical output.
     """
-    if opts.step > opts.horizon:
-        raise ValueError(
-            f"step ({opts.step!r}) must not exceed the horizon ({opts.horizon!r})"
-        )
     rk4 = _make_rk4(econ, prices)
     with_money = prices is not None
     policy = opts.depletion_policy

@@ -32,6 +32,10 @@ __all__ = ["GridSpec", "RegionScan", "KInterval", "scan_region", "feasible_k_int
 
 _BRACKET_CAP = 1e30
 
+#: Most nodes a grid may have (sigma1_steps*eta_steps); each node is a row of
+#: the output file.
+MAX_GRID_NODES = 10**7
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -55,6 +59,11 @@ class GridSpec:
             raise ValueError("eta_min must be < eta_max")
         if self.sigma1_steps < 2 or self.eta_steps < 2:
             raise ValueError("each axis needs at least 2 nodes")
+        if self.sigma1_steps * self.eta_steps > MAX_GRID_NODES:
+            raise ValueError(
+                f"sigma1_steps*eta_steps = {self.sigma1_steps * self.eta_steps} exceeds "
+                f"the cap of {MAX_GRID_NODES} nodes"
+            )
         if self.sigma1_min < 0.0:
             raise ValueError("sigma1_min must be >= 0")
         if self.eta_min < 1.0:

@@ -1,4 +1,7 @@
+import errno
 import hashlib
+import os
+import random
 import warnings
 from pathlib import Path
 
@@ -6,8 +9,11 @@ import numpy as np
 import pytest
 
 from tradeflow import cli
+from tradeflow.analytic import simulate_analytic
 from tradeflow.cli import EXIT_DEPLETION, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from tradeflow.core import GoodEconomy, NormalizedState, Regime
 from tradeflow.integrator import integrate_with_events
+from tradeflow.region import KInterval
 from tradeflow.scenario import parse_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -154,7 +160,135 @@ def test_unusable_out_exits_before_any_compute(tmp_path, capsys, monkeypatch,
         assert err.startswith("error: cannot write") and "Traceback" not in err
 
 
-CROSSING_WITH_PRICES = (SCENARIO_DIR / "crossing.scenario").read_text().replace(
+CROSSING = (SCENARIO_DIR / "crossing.scenario").read_text()
+FIG2 = (SCENARIO_DIR / "fig2.scenario").read_text()
+
+
+@pytest.mark.parametrize("mode", ["numeric", "both", "analytic"])
+def test_step_beyond_horizon_is_an_input_error(tmp_path, capsys, mode):
+    path = tmp_path / "step.scenario"
+    path.write_text(CROSSING.replace("step = 0.001", "step = 20"))
+    out = tmp_path / "step.csv"
+    assert main(["simulate", str(path), f"--{mode}", "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: [solver]: step (20.0) must not exceed the horizon (10.0)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", CROSSING.replace("horizon = 10\nstep = 0.001",
+                                  "horizon = 1e300\nstep = 1e-300")),
+    ("region", FIG2.replace("eta_steps = 200", "eta_steps = 1000000")),
+], ids=["samples", "grid_nodes"])
+def test_runaway_sizes_are_input_errors(tmp_path, capsys, command, text):
+    path = tmp_path / "huge.scenario"
+    path.write_text(text)
+    out = tmp_path / "huge.csv"
+    assert main([command, str(path), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    section = "[solver]" if command == "simulate" else "[grid]"
+    assert err.startswith(f"error: {section}: ") and "exceeds the cap" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("simulate", "crossing.scenario"), ("region", "fig2.scenario"),
+])
+def test_write_error_exits_with_one_line(tmp_path, capsys, monkeypatch, command, scenario):
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "_write_csv", full_disk)
+    out = tmp_path / "out.csv"
+    assert main([command, str(SCENARIO_DIR / scenario), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+
+
+def _per_value_csv(header, columns):
+    """The row-at-a-time rendering the batched writer must reproduce."""
+    rows = [",".join(v if isinstance(v, str) else f"{int(v)}" if isinstance(v, bool)
+                     else f"{v:.17g}" for v in row)
+            for row in zip(*(list(c) for c in columns))]
+    return "\n".join([header, *rows]) + "\n"
+
+
+AWKWARD = [-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1 / 3, 2.0, -7.0, 1e16, 2.5e-8]
+
+
+@pytest.mark.parametrize("n", [1, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1])
+def test_write_csv_matches_per_value_rendering(tmp_path, n):
+    rng = np.random.default_rng(n)
+    floats = np.array([AWKWARD[i % len(AWKWARD)] for i in range(n)])
+    randoms = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    flags = rng.random(n) < 0.5
+    regimes = [list(Regime)[i % len(Regime)].value for i in range(n)]
+    columns = [floats, regimes, randoms, flags, floats[::-1].copy()]
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, "a,b,c,d,e", columns)
+    expected = _per_value_csv(
+        "a,b,c,d,e", [floats.tolist(), regimes, randoms.tolist(), flags.tolist(),
+                      floats[::-1].tolist()])
+    assert path.read_bytes() == expected.encode()
+
+
+def test_compare_file_matches_per_value_rendering(tmp_path):
+    sc = parse_scenario(SCENARIO_DIR / "crossing.scenario")
+    numeric = integrate_with_events(sc.initial, sc.good1, sc.solver)
+    reference = simulate_analytic(sc.initial, sc.good1, sc.solver.horizon,
+                                  event_tol=sc.solver.event_tol).states_at(numeric.times)
+    disc = np.maximum(np.abs(numeric.eta_a - reference[:, 0]),
+                      np.abs(numeric.eta_b - reference[:, 1]))
+    out = tmp_path / "run.csv"
+    assert main(["simulate", str(SCENARIO_DIR / "crossing.scenario"), "--both",
+                 "--out", str(out)]) == EXIT_OK
+    expected = _per_value_csv(
+        "t,eta_a_numeric,eta_b_numeric,eta_a_analytic,eta_b_analytic,discrepancy",
+        [numeric.times.tolist(), numeric.eta_a.tolist(), numeric.eta_b.tolist(),
+         reference[:, 0].tolist(), reference[:, 1].tolist(), disc.tolist()])
+    assert (tmp_path / "run.compare.csv").read_bytes() == expected.encode()
+
+
+def test_sample_times_match_the_scalar_rule():
+    rng = random.Random(7)
+    for _ in range(300):
+        horizon = rng.uniform(0.01, 50.0)
+        step = horizon / rng.uniform(1.0, 2000.0)
+        extra = [rng.uniform(-1.0, horizon + 1.0) for _ in range(rng.randint(0, 4))]
+        n = int(horizon / step)
+        grid = [v for v in (i * step for i in range(n + 1)) if v <= horizon] + [horizon]
+        expected = np.unique(np.array(grid + [t for t in extra if 0.0 <= t <= horizon]))
+        got = cli._sample_times(horizon, step, extra)
+        assert got.tobytes() == expected.tobytes()
+
+
+def test_analytic_series_regimes_match_regime_at():
+    econ = GoodEconomy(p_a=1.0, p_b=0.9, c_a=1.0, c_b=1.0, sigma=1.0)
+    traj = simulate_analytic(NormalizedState(2.0, 0.1 + np.log(10.0) / 10.0 + 1e-7),
+                             econ, 5.0)
+    assert len(traj.segments) > 2
+    series = cli._analytic_series(traj, econ, None, None, 1e-3)
+    assert series.regimes == [traj.regime_at(t) for t in series.times.tolist()]
+
+
+def test_region_mismatch_reports_the_last_node_in_row_major_order(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.setattr(cli, "feasible_k_interval", lambda s: KInterval(3.0, 6.0))
+    sc = parse_scenario(SCENARIO_DIR / "fig2.scenario")
+    last = None
+    for sig, eta, k, *_, feasible in cli.scan_region(sc.two_good(), sc.grid).rows():
+        if feasible != (3.0 <= k <= 6.0):
+            last = (sig, eta, k, feasible)
+    sig, eta, k, feasible = last
+    assert main(["region", str(SCENARIO_DIR / "fig2.scenario"),
+                 "--out", str(tmp_path / "r.csv")]) == EXIT_NUMERIC
+    assert capsys.readouterr().err == (
+        f"error: scanner and closed form disagree at sigma1={sig:.17g}, "
+        f"eta_a1={eta:.17g} (k={k:.17g}, scanner says {feasible})\n"
+    )
+
+
+CROSSING_WITH_PRICES = CROSSING.replace(
     "eta_b = 0.5\n", "eta_b = 0.5\nm_a = 0.5\nm_b = -0.25\n"
 ) + "\n[prices1]\nx_a = 1\nx_b = 3\ny = 2\n"
 

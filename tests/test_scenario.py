@@ -210,9 +210,9 @@ def test_bundled_scenarios_round_trip(name):
 
 def test_round_trip_preserves_awkward_floats():
     text = ONE_GOOD.replace("sigma = 1", "sigma = 0.1").replace(
-        "horizon = 10", "horizon = 9.600000000000001\nstep = 1e-7"
+        "horizon = 10", "horizon = 9.600000000000001\nstep = 1e-6"
     )
     sc = parse_scenario_text(text)
     again = parse_scenario_text(serialize_scenario(sc))
     assert again == sc
-    assert again.solver.step == 1e-7
+    assert again.solver.step == 1e-6
