@@ -29,9 +29,11 @@ __all__ = [
     "simulate_analytic",
 ]
 
-#: Hard cap on segments per trajectory; continuous fields cannot chatter, so
-#: hitting this indicates a pathological tangency or a bug.
-MAX_SEGMENTS = 1_000_000
+#: Hard cap on segments per trajectory. Continuous fields cannot chatter and
+#: switch only a few times, so hitting this means rounding makes the closed
+#: form chatter at the threshold (an export equilibrium 1 + n/sigma that
+#: rounds to 1 with sigma above ~1e16*n) or a bug.
+MAX_SEGMENTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -195,10 +197,6 @@ class PiecewiseTrajectory:
             raise ValueError("trajectory needs at least one segment")
 
     @property
-    def initial_state(self) -> NormalizedState:
-        return self.segments[0].state_start
-
-    @property
     def end_state(self) -> NormalizedState:
         return self.segments[-1].state_end
 
@@ -220,19 +218,22 @@ class PiecewiseTrajectory:
     def state_at(self, t: float) -> NormalizedState:
         return self.segment_at(t).state_at(t)
 
+    def segment_indices(self, times: np.ndarray) -> np.ndarray:
+        """Index of the segment owning each time, by the rule of
+        :meth:`segment_at`: boundaries belong to the later segment."""
+        starts = np.array([seg.t_start for seg in self.segments])
+        return np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
+
     def states_at(self, times: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; returns an (n, 2) array of (eta_a, eta_b)."""
         times = np.asarray(times, dtype=float)
         if times.size and (times.min() < 0.0 or times.max() > self.horizon):
             raise ValueError("sample times outside [0, horizon]")
+        owner = self.segment_indices(times)
         out = np.empty((times.size, 2))
-        for k, seg in enumerate(self.segments):
-            if k + 1 < len(self.segments):
-                mask = (times >= seg.t_start) & (times < seg.t_end)
-            else:
-                mask = (times >= seg.t_start) & (times <= seg.t_end)
-            if not mask.any():
-                continue
+        for k in np.flatnonzero(np.bincount(owner)).tolist():  # segments owning a time
+            seg = self.segments[k]
+            mask = owner == k
             tau = times[mask] - seg.t_start
             out[mask, 0] = seg.form_a.value_array(tau)
             out[mask, 1] = seg.form_b.value_array(tau)

@@ -16,9 +16,9 @@ import numpy as np
 
 from .analytic import PiecewiseTrajectory, simulate_analytic
 from .core import GoodEconomy, MoneyState, PriceSet
-from .exchange import exchange_flow, flow_array
+from .exchange import flow_array
 from .integrator import DepletionPolicy, TimeSeries, integrate_with_events
-from .money import one_good_money_rates
+from .money import base_money_rates, one_good_money_rates
 from .region import feasible_k_interval, scan_region
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .steady import fixed_point_production
@@ -70,8 +70,7 @@ def _load(path: str) -> Scenario | None:
     try:
         return parse_scenario(path)
     except ScenarioError as exc:
-        for p in exc.problems:
-            print(f"error: {p}", file=sys.stderr)
+        _fail(*exc.problems)
         return None
 
 
@@ -139,35 +138,30 @@ def _money_along(
     prices: PriceSet,
     money0: MoneyState | None,
     times: np.ndarray,
+    states: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the money rates along a closed-form trajectory.
+    """Integrate the money rates along a closed-form trajectory sampled at
+    ``times`` (stocks ``states``).
 
     The rates depend on time only through the known state, so fourth-order
-    stepping reduces to Simpson quadrature over each sample interval.
+    stepping reduces to Simpson quadrature over each sample interval; the
+    holdings add the increments in sequence.
     """
-    sig, y = econ.sigma, prices.y
-    base_a = -prices.x_a * econ.p_a + y * econ.c_a
-    base_b = -prices.x_b * econ.p_b + y * econ.c_b
+    base_a, base_b = base_money_rates(econ, prices)
+    y = prices.y
+    t0 = times[:-1]
+    h = times[1:] - t0
+    mid = traj.states_at(t0 + 0.5 * h)
+    sf = econ.sigma * flow_array(states[:, 0], states[:, 1])
+    sf_mid = econ.sigma * flow_array(mid[:, 0], mid[:, 1])
+    m0 = money0 if money0 is not None else MoneyState(0.0, 0.0)
 
-    def money_rates(t: float) -> tuple[float, float]:
-        sf = sig * exchange_flow(traj.state_at(t))
-        return base_a + y * sf, base_b - y * sf
+    def holdings(m_start: float, r: np.ndarray, r_mid: np.ndarray) -> np.ndarray:
+        increments = h / 6.0 * (r[:-1] + 4.0 * r_mid + r[1:])
+        return np.cumsum(np.concatenate(([m_start], increments)))
 
-    ma = money0.m_a if money0 is not None else 0.0
-    mb = money0.m_b if money0 is not None else 0.0
-    mas = [ma]
-    mbs = [mb]
-    ts = times.tolist()
-    for t0, t1 in zip(ts, ts[1:]):
-        h = t1 - t0
-        ra0, rb0 = money_rates(t0)
-        ram, rbm = money_rates(t0 + 0.5 * h)
-        ra1, rb1 = money_rates(t1)
-        ma += h / 6.0 * (ra0 + 4.0 * ram + ra1)
-        mb += h / 6.0 * (rb0 + 4.0 * rbm + rb1)
-        mas.append(ma)
-        mbs.append(mb)
-    return np.array(mas), np.array(mbs)
+    return (holdings(m0.m_a, base_a + y * sf, base_a + y * sf_mid),
+            holdings(m0.m_b, base_b - y * sf, base_b - y * sf_mid))
 
 
 def _analytic_series(
@@ -179,13 +173,9 @@ def _analytic_series(
 ) -> TimeSeries:
     times = _sample_times(traj.horizon, step, traj.switch_times())
     states = traj.states_at(times)
-    # the rule of PiecewiseTrajectory.segment_at: boundaries belong to the
-    # later segment
-    starts = np.array([seg.t_start for seg in traj.segments])
-    owner = np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
-    regimes = [traj.segments[i].regime for i in owner.tolist()]
+    regimes = [traj.segments[i].regime for i in traj.segment_indices(times).tolist()]
     if prices is not None:
-        m_a, m_b = _money_along(traj, econ, prices, money0, times)
+        m_a, m_b = _money_along(traj, econ, prices, money0, times, states)
     else:
         m_a = m_b = None
     events = [
@@ -311,20 +301,18 @@ def cmd_fixed_point(args: argparse.Namespace) -> int:
         dm_a, dm_b = one_good_money_rates(econ, prices, eta_star)
     except ValueError as exc:
         return _fail(str(exc))
+    threshold = 1.0 + econ.c_b / econ.sigma if econ.sigma > 0.0 else 0.0
+    if not np.isfinite([p_a, p_b, dm_a, dm_b, threshold]).all():
+        return _fail("fixed-point produced a non-finite value (a production, money "
+                     "rate or threshold overflows)")
     print(f"fixed point at eta_a = {_fmt(eta_star)} (sigma = {_fmt(econ.sigma)})")
     print(f"  p_a     = {_fmt(p_a)}")
     print(f"  p_b     = {_fmt(p_b)}")
     print(f"  dm_a/dt = {_fmt(dm_a)}")
     print(f"  dm_b/dt = {_fmt(dm_b)}")
-    print(
-        "  p_b reaches zero at sigma*(eta_a - 1) = c_b = "
-        f"{_fmt(econ.c_b)}"
-        + (
-            f", i.e. eta_a = {_fmt(1.0 + econ.c_b / econ.sigma)}"
-            if econ.sigma > 0.0
-            else " (unreachable with sigma = 0)"
-        )
-    )
+    reach = (f", i.e. eta_a = {_fmt(threshold)}" if econ.sigma > 0.0
+             else " (unreachable with sigma = 0)")
+    print(f"  p_b reaches zero at sigma*(eta_a - 1) = c_b = {_fmt(econ.c_b)}{reach}")
     return EXIT_OK
 
 

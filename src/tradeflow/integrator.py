@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
 from .exchange import GUARD_STATE_TOL, bisect, regime_from_sides
+from .money import base_money_rates
 
 __all__ = [
     "DepletionPolicy",
@@ -114,10 +115,6 @@ class TimeSeries:
             return None
         return MoneyState(float(self.m_a[i]), float(self.m_b[i]))
 
-    @property
-    def end_state(self) -> NormalizedState:
-        return self.state(len(self) - 1)
-
 
 def _make_rk4(econ: GoodEconomy, prices: PriceSet | None):
     """Classical four-stage step of (eta_a, eta_b, m_a, m_b) as one closure.
@@ -130,8 +127,7 @@ def _make_rk4(econ: GoodEconomy, prices: PriceSet | None):
     nb = econ.p_b - econ.c_b
     if prices is not None:
         y = prices.y
-        base_a = -prices.x_a * econ.p_a + y * econ.c_a
-        base_b = -prices.x_b * econ.p_b + y * econ.c_b
+        base_a, base_b = base_money_rates(econ, prices)
     else:
         y = base_a = base_b = 0.0
 

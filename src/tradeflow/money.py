@@ -24,6 +24,7 @@ __all__ = [
     "MarginCoefficients",
     "FeasibilityResult",
     "margins",
+    "base_money_rates",
     "one_good_money_rates",
     "balanced_sigma2",
     "trade_balances",
@@ -82,6 +83,14 @@ def margins(s: TwoGoodScenario) -> MarginCoefficients:
         beta1=s.prices1.y - s.prices1.x_b,
         beta2=s.prices2.y - s.prices2.x_b,
     )
+
+
+def base_money_rates(econ: GoodEconomy, prices: PriceSet) -> tuple[float, float]:
+    """Money rates of both countries with no exchange: each pays the cost x
+    per unit it produces and earns the price y per unit it consumes. A flow f
+    adds y*sigma*f to A's rate and subtracts it from B's."""
+    y = prices.y
+    return -prices.x_a * econ.p_a + y * econ.c_a, -prices.x_b * econ.p_b + y * econ.c_b
 
 
 def one_good_money_rates(

@@ -128,7 +128,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     problem found."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError([f"cannot read scenario file {path}: {exc}"]) from exc
     return parse_scenario_text(text, source=str(path))
 
@@ -138,7 +138,9 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     try:
         cp.read_string(text, source=source)
     except configparser.Error as exc:
-        raise ScenarioError([f"syntax error: {exc}"]) from exc
+        # some messages quote the offending line on lines of their own
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ScenarioError([f"syntax error: {message}"]) from exc
 
     problems: list[str] = []
     for section in cp.sections():

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tradeflow import analytic
 from tradeflow.analytic import (
+    RegimeSegment,
     simulate_analytic,
     solve_a_exports,
     solve_b_exports,
@@ -222,6 +224,39 @@ def test_trajectory_point_and_array_eval_agree():
         point = traj.state_at(float(t))
         assert abs(point.eta_a - row[0]) <= 1e-12
         assert abs(point.eta_b - row[1]) <= 1e-12
+
+
+def test_states_at_uses_the_owner_rule_of_segment_at():
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        econ = _random_econ(rng)
+        traj = simulate_analytic(NormalizedState(rng.uniform(0, 3), rng.uniform(0, 3)),
+                                 econ, 10.0)
+        ts = np.concatenate([rng.uniform(0.0, 10.0, 64), [0.0, 10.0],
+                             [seg.t_start for seg in traj.segments]])
+        rng.shuffle(ts)
+        owner = traj.segment_indices(ts)
+        assert [traj.segments[i] for i in owner] == [traj.segment_at(t) for t in ts.tolist()]
+        for i, t, row in zip(owner.tolist(), ts.tolist(), traj.states_at(ts).tolist()):
+            seg = traj.segments[i]
+            tau = np.array([t - seg.t_start])
+            assert row == [seg.form_a.value_array(tau)[0], seg.form_b.value_array(tau)[0]]
+
+
+def test_chatter_at_the_threshold_stops_at_the_segment_cap(monkeypatch):
+    # A's export equilibrium 1 + 0.25/1e308 rounds to the threshold, so the
+    # closed form flips regime about every 6e-11 time units
+    built = []
+
+    def counting(*args):
+        built.append(args[0])
+        return RegimeSegment(*args)
+
+    monkeypatch.setattr(analytic, "RegimeSegment", counting)
+    econ = GoodEconomy(p_a=1.25, p_b=1.0, c_a=1.0, c_b=1.0, sigma=1e308)
+    with pytest.raises(RuntimeError, match="chatter"):
+        simulate_analytic(NormalizedState(0.5, 0.5), econ, 10.0)
+    assert len(built) <= 10_000
 
 
 def test_simulate_matches_numeric_oracle():

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from tradeflow import cli
-from tradeflow.analytic import simulate_analytic
+from tradeflow.analytic import PiecewiseTrajectory, simulate_analytic
 from tradeflow.cli import EXIT_DEPLETION, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
-from tradeflow.core import GoodEconomy, NormalizedState, Regime
+from tradeflow.core import GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
+from tradeflow.exchange import exchange_flow
 from tradeflow.integrator import integrate_with_events
 from tradeflow.region import KInterval
 from tradeflow.scenario import parse_scenario
@@ -311,6 +312,134 @@ def test_closed_form_money_matches_rk4_co_integration(tmp_path, text):
     for analytic, rk4 in ((float(rows[-1][-2]), numeric.m_a[-1]),
                           (float(rows[-1][-1]), numeric.m_b[-1])):
         assert abs(analytic - rk4) <= 1e-7 * max(1.0, abs(rk4))
+
+
+@pytest.mark.parametrize("text", [
+    (SCENARIO_DIR / "steady_state.scenario").read_text(),
+    CROSSING_WITH_PRICES,
+], ids=["steady_state", "crossing_with_prices"])
+def test_analytic_money_makes_no_scalar_lookups(tmp_path, monkeypatch, text):
+    def scalar_lookup(*args, **kwargs):
+        raise AssertionError("a per-sample scalar lookup ran")
+
+    for name in ("state_at", "segment_at", "regime_at"):
+        monkeypatch.setattr(PiecewiseTrajectory, name, scalar_lookup)
+    path = tmp_path / "run.scenario"
+    path.write_text(text)
+    out = tmp_path / "run.csv"
+    assert main(["simulate", str(path), "--analytic", "--out", str(out)]) == EXIT_OK
+
+
+def _simpson_money_per_sample(traj, econ, prices, money0, times):
+    """Simpson quadrature one sample interval at a time on scalar state_at
+    lookups: the reference the array form of `_money_along` must match."""
+    sig, y = econ.sigma, prices.y
+    base_a = -prices.x_a * econ.p_a + y * econ.c_a
+    base_b = -prices.x_b * econ.p_b + y * econ.c_b
+
+    def money_rates(t):
+        sf = sig * exchange_flow(traj.state_at(t))
+        return base_a + y * sf, base_b - y * sf
+
+    ma, mb = money0.m_a, money0.m_b
+    mas, mbs = [ma], [mb]
+    ts = times.tolist()
+    for t0, t1 in zip(ts, ts[1:]):
+        h = t1 - t0
+        ra0, rb0 = money_rates(t0)
+        ram, rbm = money_rates(t0 + 0.5 * h)
+        ra1, rb1 = money_rates(t1)
+        ma += h / 6.0 * (ra0 + 4.0 * ram + ra1)
+        mb += h / 6.0 * (rb0 + 4.0 * rbm + rb1)
+        mas.append(ma)
+        mbs.append(mb)
+    return np.array(mas), np.array(mbs)
+
+
+def _money_both_ways(traj, econ, prices, money0, step):
+    times = cli._sample_times(traj.horizon, step, traj.switch_times())
+    got = cli._money_along(traj, econ, prices, money0, times, traj.states_at(times))
+    return got, _simpson_money_per_sample(traj, econ, prices, money0, times)
+
+
+def _random_prices(rng):
+    x_a = rng.uniform(0.5, 2.0)
+    y = x_a + rng.uniform(0.1, 2.0)
+    return PriceSet(x_a=x_a, x_b=y + rng.uniform(0.1, 2.0), y=y)
+
+
+def test_array_money_matches_the_per_sample_quadrature():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 60:
+        econ = GoodEconomy(p_a=rng.uniform(0.0, 4.0), p_b=rng.uniform(0.0, 4.0),
+                           c_a=rng.uniform(0.2, 3.0), c_b=rng.uniform(0.2, 3.0),
+                           sigma=rng.uniform(0.1, 3.0))
+        horizon = rng.choice([1.0, 10.0, 37.5])
+        traj = simulate_analytic(NormalizedState(rng.uniform(0.3, 2.5), rng.uniform(0.3, 2.5)),
+                                 econ, horizon)
+        if len(traj.segments) < 2:
+            continue
+        money0 = MoneyState(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        got, want = _money_both_ways(traj, econ, _random_prices(rng), money0,
+                                     horizon / rng.randint(50, 2000))
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= 1e-13 * np.maximum(1.0, np.abs(w)))
+        checked += 1
+
+
+def test_array_money_is_bit_equal_on_a_linear_segment():
+    rng = random.Random(12)
+    steady = parse_scenario(SCENARIO_DIR / "steady_state.scenario")
+    cases = [(steady.good1, steady.initial, steady.prices1, steady.initial_money, 100.0)]
+    for _ in range(20):  # sigma = 0, both stocks below threshold and falling
+        c_a, c_b = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+        econ = GoodEconomy(p_a=c_a - rng.uniform(0.0, 0.5), p_b=c_b - rng.uniform(0.0, 0.5),
+                           c_a=c_a, c_b=c_b, sigma=0.0)
+        cases.append((econ, NormalizedState(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)),
+                      _random_prices(rng), MoneyState(rng.uniform(-1.0, 1.0), 0.0),
+                      rng.uniform(1.0, 50.0)))
+    for econ, state0, prices, money0, horizon in cases:
+        traj = simulate_analytic(state0, econ, horizon)
+        assert len(traj.segments) == 1 and traj.segments[0].form_a.coef == 0.0
+        assert traj.segments[0].form_b.coef == 0.0
+        got, want = _money_both_ways(traj, econ, prices, money0, horizon / 997)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("contents, reason", [
+    (b"\xff[model]\nkind = one-good\n", "can't decode byte 0xff in position 0"),
+    (b"garbage\n", None),
+], ids=["not_utf8", "no_section_header"])
+def test_unreadable_scenario_is_one_error_line(tmp_path, capsys, contents, reason):
+    path = tmp_path / "bad.scenario"
+    path.write_bytes(contents)
+    assert main(["fixed-point", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if reason is not None:
+        assert captured.err.startswith(f"error: cannot read scenario file {path}: ")
+        assert reason in captured.err
+    else:
+        assert captured.err == (
+            "error: syntax error: File contains no section headers. "
+            f"file: '{path}', line: 1 'garbage\\n'\n"
+        )
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("good, prices", [
+    ("p_a = 1e308\np_b = 1\nc_a = 1e308\nc_b = 1\nsigma = 1", "x_a = 0\nx_b = 1e308\ny = 1e308"),
+    ("p_a = 1\np_b = 2\nc_a = 1\nc_b = 2\nsigma = 5e-324", "x_a = 1\nx_b = 3\ny = 2"),
+], ids=["dm_a", "threshold"])
+def test_fixed_point_non_finite_value_is_an_input_error(tmp_path, capsys, good, prices):
+    path = tmp_path / "huge.scenario"
+    path.write_text(f"[model]\nkind = one-good\n[good1]\n{good}\n[prices1]\n{prices}\n")
+    assert main(["fixed-point", str(path), "--eta-star", "1.5"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_simulate_rejects_two_good(tmp_path):
