@@ -8,9 +8,12 @@ failure, 3 depletion halt.
 from __future__ import annotations
 
 import argparse
+import os
+import re
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -37,6 +40,14 @@ _CHUNK_ROWS = 2048
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e+16" or "-inf" as an option unless it matches
+        # this; widen it from plain decimals to every negative float literal
+        # so that `--eta-star -1e+16` reaches float().
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
     # Usage problems are input errors; keep exit code 2 for numerical checks.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -53,16 +64,21 @@ def _fail(*messages: str, code: int = EXIT_INPUT) -> int:
     return code
 
 
-def _unwritable(*paths: Path | None) -> str | None:
-    """Why one of the files a command will write (None: not written) cannot
-    be, checked before any compute."""
-    for path in paths:
+def _unwritable(paths: dict[str, Path | None]) -> str | None:
+    """Why one of the files a command will write, keyed by its role (None:
+    not written), cannot be, checked before any compute. Two roles that name
+    the same file are refused: the later write would replace the earlier."""
+    roles: dict[str, str] = {}
+    for role, path in paths.items():
         if path is None:
             continue
         if path.is_dir():
             return f"cannot write {path}: it is a directory"
         if not path.parent.is_dir():
             return f"cannot write {path}: directory {path.parent} does not exist"
+        other = roles.setdefault(os.path.realpath(path), role)
+        if other != role:
+            return f"cannot write {path}: it would be both the {other} and the {role}"
     return None
 
 
@@ -79,28 +95,46 @@ def _write_lines(path: Path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_csv(path: Path, header: str, columns: list) -> None:
-    """Write parallel columns under a header line: float arrays as ``%.17g``
-    (the bytes of ``f"{x:.17g}"``), bool arrays as 0/1, lists of strings as
-    they are. Each block of rows is formatted by a single ``%``."""
+def _blocks(columns: list) -> Iterator[str]:
+    """The rows of parallel columns as text, each row ended by a newline, one
+    string per block of rows: float arrays as ``%.17g`` (the bytes of
+    ``f"{x:.17g}"``), bool arrays as 0/1, lists of strings as they are. Each
+    block is formatted by a single ``%``."""
     fmt = ",".join(
         "%s" if not isinstance(c, np.ndarray) else "%d" if c.dtype == bool else "%.17g"
         for c in columns
     ) + "\n"
     n = len(columns[0])
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        block = [c[lo:hi].tolist() if isinstance(c, np.ndarray) else c[lo:hi]
+                 for c in columns]
+        yield (fmt * (hi - lo)) % tuple(chain.from_iterable(zip(*block)))
+
+
+def _formatted(columns: list) -> list[str]:
+    """One string per row of parallel columns, as `_write_csv` writes it but
+    without the newline: a value written more than once is formatted once
+    here and handed to `_write_csv` as a string column."""
+    return "".join(_blocks(columns)).split("\n")[:-1]
+
+
+def _write_csv(path: Path, header: str, columns: list) -> None:
+    """Write parallel columns under a header line, formatted by `_blocks`.
+    Besides the regime names, the string columns that arrive hold floats
+    already formatted by `_formatted`: the region's sigma1 and eta_a1 axes,
+    and the t,eta_a,eta_b lead that both files of `simulate --both` share."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for lo in range(0, n, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, n)
-            block = [c[lo:hi].tolist() if isinstance(c, np.ndarray) else c[lo:hi]
-                     for c in columns]
-            fh.write((fmt * (hi - lo)) % tuple(chain.from_iterable(zip(*block))))
+        fh.writelines(_blocks(columns))
 
 
-def _write_timeseries(path: Path, series: TimeSeries) -> None:
+def _write_timeseries(path: Path, series: TimeSeries, lead: list) -> None:
+    """Write the series; ``lead`` holds its t, eta_a and eta_b columns, as
+    arrays or already formatted as one string column."""
     header = "t,eta_a,eta_b,regime,f"
-    columns = [series.times, series.eta_a, series.eta_b,
-               [r.value for r in series.regimes], flow_array(series.eta_a, series.eta_b)]
+    columns = lead + [[r.value for r in series.regimes],
+                      flow_array(series.eta_a, series.eta_b)]
     if series.m_a is not None:
         header += ",m_a,m_b"
         columns += [series.m_a, series.m_b]
@@ -215,9 +249,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     script = out.with_suffix(".gnuplot")
     cmp_path = out.with_name(out.stem + ".compare" + out.suffix)
-    problem = _unwritable(
-        out, script if args.plot else None, cmp_path if args.mode == "both" else None
-    )
+    problem = _unwritable({
+        "data file": out,
+        "plot script": script if args.plot else None,
+        "comparison file": cmp_path if args.mode == "both" else None,
+    })
     if problem is not None:
         return _fail(problem)
 
@@ -247,9 +283,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             code=EXIT_NUMERIC,
         )
 
+    lead = [series.times, series.eta_a, series.eta_b]
+    if args.mode == "both":  # the comparison file starts with the same columns
+        lead = [_formatted(lead)]
     path = out
     try:
-        _write_timeseries(out, series)
+        _write_timeseries(out, series, lead)
         print(f"wrote {len(series)} samples to {out}")
         for t, desc in series.events:
             print(f"event t={_fmt(t)}: {desc}")
@@ -263,8 +302,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             _write_csv(
                 cmp_path,
                 "t,eta_a_numeric,eta_b_numeric,eta_a_analytic,eta_b_analytic,discrepancy",
-                [numeric.times, numeric.eta_a, numeric.eta_b,
-                 reference[:, 0], reference[:, 1], disc],
+                lead + [reference[:, 0], reference[:, 1], disc],
             )
             print(f"wrote comparison to {cmp_path}")
             print(f"sup-norm discrepancy: {_fmt(sup)}")
@@ -326,7 +364,7 @@ def cmd_region(args: argparse.Namespace) -> int:
         return _fail("region requires a [grid] section")
     out = Path(args.out)
     script = out.with_suffix(".gnuplot")
-    problem = _unwritable(out, script if args.plot else None)
+    problem = _unwritable({"data file": out, "plot script": script if args.plot else None})
     if problem is not None:
         return _fail(problem)
     two = sc.two_good()
@@ -337,14 +375,19 @@ def cmd_region(args: argparse.Namespace) -> int:
     interval = feasible_k_interval(two)
 
     total = scan.k.size
+    # Row-major with sigma1 fastest: each axis node is formatted once, then
+    # sigma1 is tiled across the rows and each eta_a1 repeated along its row.
+    sigma1 = _formatted([scan.sigma1])
+    eta_a1 = _formatted([scan.eta_a1])
     grid_columns = (scan.k, scan.dm_a, scan.dm_b, scan.p_a2, scan.p_b1, scan.feasible)
     path = out
     try:
         _write_csv(
             out,
             "sigma1,eta_a1,k,dm_a,dm_b,p_a2,p_b1,feasible",
-            [np.broadcast_to(scan.sigma1, scan.k.shape).ravel(),
-             np.repeat(scan.eta_a1, len(scan.sigma1))] + [a.ravel() for a in grid_columns],
+            [sigma1 * len(eta_a1),
+             list(chain.from_iterable(repeat(e, len(sigma1)) for e in eta_a1))]
+            + [a.ravel() for a in grid_columns],
         )
         print(f"wrote {total} nodes to {out}")
         if args.plot:

@@ -154,11 +154,27 @@ def test_unusable_out_exits_before_any_compute(tmp_path, capsys, monkeypatch,
         monkeypatch.setattr(cli, name, no_compute)
     (tmp_path / "plot.gnuplot").mkdir()
     for out, flags in ((tmp_path, []), (tmp_path / "missing" / "out.csv", []),
-                       (tmp_path / "plot.csv", ["--plot"])):
+                       (tmp_path / "plot.csv", ["--plot"]),
+                       (tmp_path / "data.gnuplot", ["--plot"])):  # script is the data file
         code = main([command, str(SCENARIO_DIR / scenario), "--out", str(out), *flags])
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write") and "Traceback" not in err
+        assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plot.gnuplot"]
+
+
+def test_output_reached_through_a_symlink_coincides(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "integrate_with_events", None)  # must not be reached
+    out = tmp_path / "run.csv"
+    (tmp_path / "run.compare.csv").symlink_to(out)
+    code = main(["simulate", str(SCENARIO_DIR / "crossing.scenario"), "--both",
+                 "--out", str(out)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path / 'run.compare.csv'}: it would be both the data "
+        "file and the comparison file\n")
+    assert not out.exists()
 
 
 CROSSING = (SCENARIO_DIR / "crossing.scenario").read_text()
@@ -248,6 +264,42 @@ def test_compare_file_matches_per_value_rendering(tmp_path):
         [numeric.times.tolist(), numeric.eta_a.tolist(), numeric.eta_b.tolist(),
          reference[:, 0].tolist(), reference[:, 1].tolist(), disc.tolist()])
     assert (tmp_path / "run.compare.csv").read_bytes() == expected.encode()
+
+
+def _region_text(sigma1_min, sigma1_max, sigma1_steps, eta_min, eta_max, eta_steps):
+    return FIG2[: FIG2.index("[grid]")] + (
+        f"[grid]\nsigma1_min = {sigma1_min!r}\nsigma1_max = {sigma1_max!r}\n"
+        f"sigma1_steps = {sigma1_steps}\neta_min = {eta_min!r}\neta_max = {eta_max!r}\n"
+        f"eta_steps = {eta_steps}\n")
+
+
+def _random_region_texts(n):
+    rng = random.Random(11)
+    texts = []
+    while len(texts) < n:
+        sigma1_steps, eta_steps = rng.randint(2, 40), rng.randint(2, 40)
+        if sigma1_steps == eta_steps:
+            continue  # a square grid hides a swap of the two axes
+        sigma1_min = 0.0 if len(texts) % 3 == 0 else rng.uniform(0.0, 5.0)
+        eta_min = rng.uniform(1.0, 5.0)
+        texts.append(_region_text(sigma1_min, sigma1_min + rng.uniform(0.1, 20.0),
+                                  sigma1_steps, eta_min, eta_min + rng.uniform(0.1, 20.0),
+                                  eta_steps))
+    return texts
+
+
+@pytest.mark.parametrize("text", [FIG2] + _random_region_texts(20),
+                         ids=["fig2"] + [f"random{i}" for i in range(20)])
+def test_region_file_matches_rows_rendered_per_value(tmp_path, text):
+    path = tmp_path / "grid.scenario"
+    path.write_text(text)
+    sc = parse_scenario(path)
+    rows = list(cli.scan_region(sc.two_good(), sc.grid).rows())
+    out = tmp_path / "region.csv"
+    assert main(["region", str(path), "--out", str(out)]) == EXIT_OK
+    expected = _per_value_csv("sigma1,eta_a1,k,dm_a,dm_b,p_a2,p_b1,feasible",
+                              [list(c) for c in zip(*rows)])
+    assert out.read_bytes() == expected.encode()
 
 
 def test_sample_times_match_the_scalar_rule():
@@ -483,6 +535,23 @@ def test_fixed_point_rejects_eta_below_threshold(capsys):
     assert ">= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, problem", [
+    ("-1e+16", ">= 1 (at or above the exchange threshold)"),
+    ("-2E3", ">= 1 (at or above the exchange threshold)"),
+    ("-.5e-3", ">= 1 (at or above the exchange threshold)"),
+    ("-7.e1", ">= 1 (at or above the exchange threshold)"),
+    ("-inf", "finite"),
+])
+def test_negative_eta_star_with_exponent_is_a_number(capsys, value, problem):
+    scenario = str(SCENARIO_DIR / "steady_state.scenario")
+    assert main(["fixed-point", scenario, f"--eta-star={value}"]) == EXIT_INPUT
+    joined = capsys.readouterr()
+    assert main(["fixed-point", scenario, "--eta-star", value]) == EXIT_INPUT
+    assert capsys.readouterr() == joined
+    assert joined.out == ""
+    assert joined.err == f"error: eta_star must be {problem}, got {float(value)!r}\n"
+
+
 def test_fixed_point_rejects_infeasible_eta(capsys):
     code = main(["fixed-point", str(SCENARIO_DIR / "steady_state.scenario"),
                  "--eta-star", "5"])
@@ -550,6 +619,10 @@ PINNED_OUTPUTS = [
     # a single segment with coef == 0: the money columns take no exp either
     (["simulate", "steady_state.scenario", "--analytic"],
      "dc5949a3360201c3465c4f7308adbb3e73e83796708aca813df229b90b4cb597"),
+    # --both writes a comparison file beside the data file: {file: digest}
+    (["simulate", "steady_state.scenario", "--both"],
+     {"out.csv": "766de9b5d8dffc226080c8264fd0a36bf5e7d43029bc984493ea26bc049a1f72",
+      "out.compare.csv": "025102f5795b92560ec48e57aebe51eb04fe5340673bfd16fc7d736ed60ad234"}),
 ]
 
 
@@ -558,7 +631,9 @@ def test_output_bytes_match_pinned_digest(tmp_path, argv, digest):
     command, scenario, *flags = argv
     out = tmp_path / "out.csv"
     assert main([command, str(SCENARIO_DIR / scenario), *flags, "--out", str(out)]) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    digests = digest if isinstance(digest, dict) else {out.name: digest}
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
 
 def test_region_empty_is_still_success(tmp_path, capsys):

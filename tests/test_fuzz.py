@@ -104,10 +104,13 @@ def mutated_scenarios(draw, base: dict) -> str:
     })
 
 
-SIMULATE = [["simulate", "--analytic"], ["simulate", "--numeric"], ["simulate", "--both"],
-            ["simulate", "--both", "--plot"]]
-FIXED_POINT = [["fixed-point"], ["fixed-point", "--eta-star={eta!r}"]]
-REGION = [["region"], ["region", "--plot"]]
+SIMULATE = [["simulate", "--analytic"], ["simulate", "--numeric"], ["simulate", "--both"]]
+FIXED_POINT = [["fixed-point"], ["fixed-point", "--eta-star={eta!r}"],
+               ["fixed-point", "--eta-star", "{eta!r}"]]
+REGION = [["region"]]
+#: --out names for simulate and region: a plain data file, a name that the
+#: plot script also takes, one that looks like a comparison file, no suffix
+OUT_NAMES = ["out.csv", "out.gnuplot", "out.compare.csv", "out"]
 
 
 @st.composite
@@ -151,13 +154,14 @@ def test_main_ends_in_a_documented_exit_code(tmp_path_factory):
     path = work / "fuzz.scenario"
 
     @FUZZ
-    @given(cli_runs(), st.floats(0.0, 3.0) | st.floats())
-    def run(scenario_and_command, eta):
+    @given(cli_runs(), st.floats(0.0, 3.0) | st.floats(), st.sampled_from(OUT_NAMES),
+           st.booleans())
+    def run(scenario_and_command, eta, out_name, plot):
         contents, (name, *flags) = scenario_and_command
         path.write_bytes(contents)
         argv = [name, str(path), *(flag.format(eta=eta) for flag in flags)]
         if name != "fixed-point":
-            argv += ["--out", str(work / "out.csv")]
+            argv += ["--out", str(work / out_name)] + (["--plot"] if plot else [])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, lines = _run_main(argv)
