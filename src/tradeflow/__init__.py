@@ -12,6 +12,7 @@ from .analytic import (
     solve_no_exchange,
 )
 from .core import (
+    Event,
     GoodEconomy,
     MoneyState,
     NormalizedState,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GoodEconomy, NormalizedState, Regime
+from .core import Event, GoodEconomy, NormalizedState, Regime
 from .exchange import GUARD_STATE_TOL, bisect, regime_from_sides, rhs
 
 __all__ = [
@@ -200,9 +200,10 @@ class PiecewiseTrajectory:
     def end_state(self) -> NormalizedState:
         return self.segments[-1].state_end
 
-    def switch_times(self) -> list[float]:
-        """Times at which the active regime changes."""
-        return [seg.t_end for seg in self.segments[:-1]]
+    @property
+    def events(self) -> list[Event]:
+        """One ``switch`` event per regime change, at the later segment's start."""
+        return [Event(seg.t_start, "switch", None, seg.regime) for seg in self.segments[1:]]
 
     def segment_at(self, t: float) -> RegimeSegment:
         """The segment owning time t; boundaries belong to the later segment."""

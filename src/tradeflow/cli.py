@@ -20,7 +20,7 @@ import numpy as np
 from .analytic import PiecewiseTrajectory, simulate_analytic
 from .core import GoodEconomy, MoneyState, PriceSet
 from .exchange import flow_array
-from .integrator import DepletionPolicy, TimeSeries, integrate_with_events
+from .integrator import TimeSeries, integrate_with_events
 from .money import base_money_rates, one_good_money_rates
 from .region import feasible_k_interval, scan_region
 from .scenario import Scenario, ScenarioError, parse_scenario
@@ -67,7 +67,8 @@ def _fail(*messages: str, code: int = EXIT_INPUT) -> int:
 def _unwritable(paths: dict[str, Path | None]) -> str | None:
     """Why one of the files a command will write, keyed by its role (None:
     not written), cannot be, checked before any compute. Two roles that name
-    the same file are refused: the later write would replace the earlier."""
+    the same file are refused: the later write would replace the earlier. The
+    scenario being read comes first, so that no output replaces it."""
     roles: dict[str, str] = {}
     for role, path in paths.items():
         if path is None:
@@ -205,33 +206,16 @@ def _analytic_series(
     money0: MoneyState | None,
     step: float,
 ) -> TimeSeries:
-    times = _sample_times(traj.horizon, step, traj.switch_times())
+    events = traj.events
+    times = _sample_times(traj.horizon, step, [e.t for e in events])
     states = traj.states_at(times)
     regimes = [traj.segments[i].regime for i in traj.segment_indices(times).tolist()]
     if prices is not None:
         m_a, m_b = _money_along(traj, econ, prices, money0, times, states)
     else:
         m_a = m_b = None
-    events = [
-        (seg.t_start, f"regime switch to {seg.regime.value}")
-        for seg in traj.segments[1:]
-    ]
-    return TimeSeries(
-        times=times,
-        eta_a=states[:, 0],
-        eta_b=states[:, 1],
-        regimes=regimes,
-        m_a=m_a,
-        m_b=m_b,
-        events=events,
-    )
-
-
-def _depletion_time(series: TimeSeries) -> float | None:
-    for t, desc in series.events:
-        if desc.startswith("depletion"):
-            return t
-    return None
+    return TimeSeries(times=times, eta_a=states[:, 0], eta_b=states[:, 1], regimes=regimes,
+                      m_a=m_a, m_b=m_b, events=events)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -250,6 +234,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     script = out.with_suffix(".gnuplot")
     cmp_path = out.with_name(out.stem + ".compare" + out.suffix)
     problem = _unwritable({
+        "scenario being read": Path(args.scenario),
         "data file": out,
         "plot script": script if args.plot else None,
         "comparison file": cmp_path if args.mode == "both" else None,
@@ -257,22 +242,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if problem is not None:
         return _fail(problem)
 
-    numeric = reference = disc = sup = None
+    reference = disc = sup = None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            if args.mode in ("numeric", "both"):
-                numeric = integrate_with_events(state0, econ, opts, prices=prices, money0=money0)
-            if args.mode in ("analytic", "both"):
+            if args.mode != "analytic":
+                series = integrate_with_events(state0, econ, opts, prices=prices, money0=money0)
+            if args.mode != "numeric":
                 traj = simulate_analytic(state0, econ, opts.horizon, event_tol=opts.event_tol)
             if args.mode == "analytic":
                 series = _analytic_series(traj, econ, prices, money0, opts.step)
-            else:
-                series = numeric
-            if args.mode == "both":
-                reference = traj.states_at(numeric.times)
-                diff_a = np.abs(numeric.eta_a - reference[:, 0])
-                diff_b = np.abs(numeric.eta_b - reference[:, 1])
-                disc = np.maximum(diff_a, diff_b)
+            elif args.mode == "both":
+                reference = traj.states_at(series.times)
+                disc = np.maximum(np.abs(series.eta_a - reference[:, 0]),
+                                  np.abs(series.eta_b - reference[:, 1]))
     except (ValueError, RuntimeError) as exc:
         return _fail(f"simulate --{args.mode} failed: {exc}", code=EXIT_NUMERIC)
     columns = (series.times, series.eta_a, series.eta_b, series.m_a, series.m_b, reference, disc)
@@ -290,8 +272,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         _write_timeseries(out, series, lead)
         print(f"wrote {len(series)} samples to {out}")
-        for t, desc in series.events:
-            print(f"event t={_fmt(t)}: {desc}")
+        for e in series.events:
+            print(f"event t={_fmt(e.t)}: {e}")
         if args.plot:
             path = script
             _write_lines(script, _timeseries_plot_script(out.name, series.m_a is not None))
@@ -314,10 +296,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"analytic/numeric discrepancy {_fmt(sup)} exceeds {_fmt(SUP_DISCREPANCY_TOL)}",
             code=EXIT_NUMERIC,
         )
-    if numeric is not None:
-        t_dep = _depletion_time(numeric)
-        if t_dep is not None and opts.depletion_policy is DepletionPolicy.HALT:
-            print(f"depletion halt at t={_fmt(t_dep)}", file=sys.stderr)
+    for e in series.events:
+        if e.kind == "depletion":
+            print(f"depletion halt at t={_fmt(e.t)}", file=sys.stderr)
             return EXIT_DEPLETION
     return EXIT_OK
 
@@ -364,7 +345,8 @@ def cmd_region(args: argparse.Namespace) -> int:
         return _fail("region requires a [grid] section")
     out = Path(args.out)
     script = out.with_suffix(".gnuplot")
-    problem = _unwritable({"data file": out, "plot script": script if args.plot else None})
+    problem = _unwritable({"scenario being read": Path(args.scenario), "data file": out,
+                           "plot script": script if args.plot else None})
     if problem is not None:
         return _fail(problem)
     two = sc.two_good()

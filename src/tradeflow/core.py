@@ -15,6 +15,7 @@ __all__ = [
     "NormalizedState",
     "GoodEconomy",
     "Regime",
+    "Event",
     "PriceSet",
     "MoneyState",
     "TwoGoodScenario",
@@ -118,6 +119,38 @@ class Regime(Enum):
     A_EXPORTS = "a_exports"
     B_EXPORTS = "b_exports"
     BILATERAL = "bilateral"
+
+
+_EVENT_TEXT = {
+    "crossing": "{stock} crossed the threshold {detail}",
+    "switch": "regime switch to {detail.value}",
+    "depletion": "depletion: {stock} {detail}",
+    "clamp": "clamped {stock} to zero",
+}
+
+
+@dataclass(frozen=True)
+class Event:
+    """A discrete event at time ``t`` on a trajectory; ``str()`` gives its text.
+
+    ``kind`` is ``crossing`` (``stock`` crossed the threshold; ``detail`` is
+    ``upward`` or ``downward``), ``switch`` (the closed form entered the regime
+    ``detail``; no stock), ``depletion`` (``stock`` ``reached zero`` or was
+    ``negative at start``; ends the run) or ``clamp`` (``stock`` went negative
+    and was set to zero).
+    """
+
+    t: float
+    kind: str
+    stock: str | None = None
+    detail: str | Regime | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in _EVENT_TEXT:
+            raise ValueError(f"unknown event kind {self.kind!r}")
+
+    def __str__(self) -> str:
+        return _EVENT_TEXT[self.kind].format(stock=self.stock, detail=self.detail)
 
 
 @dataclass(frozen=True)

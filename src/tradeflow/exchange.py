@@ -23,17 +23,6 @@ __all__ = ["GUARD_STATE_TOL", "bisect", "exchange_flow", "flow_array", "classify
 GUARD_STATE_TOL = 1e-9
 
 
-def _flow(eta_a: float, eta_b: float) -> float:
-    """Float kernel of the exchange law; hot path for the integrator."""
-    ex_a = eta_a - 1.0
-    if ex_a < 0.0:
-        ex_a = 0.0
-    ex_b = eta_b - 1.0
-    if ex_b < 0.0:
-        ex_b = 0.0
-    return ex_a - ex_b
-
-
 def exchange_flow(state: NormalizedState) -> float:
     """Dimensionless exchange rate factor.
 
@@ -41,7 +30,13 @@ def exchange_flow(state: NormalizedState) -> float:
     the exporting country when only one is above, and the difference of
     excesses when both are.
     """
-    return _flow(state.eta_a, state.eta_b)
+    ex_a = state.eta_a - 1.0
+    if ex_a < 0.0:
+        ex_a = 0.0
+    ex_b = state.eta_b - 1.0
+    if ex_b < 0.0:
+        ex_b = 0.0
+    return ex_a - ex_b
 
 
 def flow_array(eta_a: np.ndarray, eta_b: np.ndarray) -> np.ndarray:
@@ -64,18 +59,14 @@ def classify_regime(state: NormalizedState) -> Regime:
     return regime_from_sides(state.eta_a > 1.0, state.eta_b > 1.0)
 
 
-def _rhs(eta_a: float, eta_b: float, econ: GoodEconomy) -> tuple[float, float]:
-    s = econ.sigma * _flow(eta_a, eta_b)
-    return econ.p_a - econ.c_a - s, econ.p_b - econ.c_b + s
-
-
 def rhs(state: NormalizedState, econ: GoodEconomy) -> tuple[float, float]:
     """Time derivatives (deta_a, deta_b) of the two stock levels.
 
     The exchange term cancels in the sum, so deta_a + deta_b equals the total
     net production rate regardless of sigma or the state (up to rounding).
     """
-    return _rhs(state.eta_a, state.eta_b, econ)
+    s = econ.sigma * exchange_flow(state)
+    return econ.p_a - econ.c_a - s, econ.p_b - econ.c_b + s
 
 
 def bisect(past: Callable[[float], bool], lo: float, hi: float, tol: float = 0.0,

@@ -3,8 +3,10 @@
 Serves as the independent numeric oracle for the closed-form engine and as
 the only place money is co-integrated. Threshold crossings (and, under the
 halt policy, stock depletion) are localized inside a step by bisection on
-single partial steps, recorded as events, and integration restarts from the
-crossing.
+single partial steps, recorded as typed :class:`~tradeflow.core.Event`
+records (kind ``crossing`` or ``depletion``; ``clamp`` under the
+clamp-to-zero policy), and integration restarts from the crossing. Only the
+halt policy emits ``depletion``, and that event ends the series.
 
 Money co-integration extends the fixed-point money rates to arbitrary states:
 each country spends its production cost per unit produced and earns the
@@ -22,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
+from .core import Event, GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
 from .exchange import GUARD_STATE_TOL, bisect, regime_from_sides
 from .money import base_money_rates
 
@@ -91,7 +93,7 @@ class TimeSeries:
     regimes: list[Regime]
     m_a: np.ndarray | None
     m_b: np.ndarray | None
-    events: list[tuple[float, str]] = field(default_factory=list)
+    events: list[Event] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         n = len(self.times)
@@ -250,26 +252,20 @@ def integrate_with_events(
     ebs = [eb]
     mas = [ma]
     mbs = [mb]
-    events: list[tuple[float, str]] = []
+    events: list[Event] = []
 
     def build() -> TimeSeries:
         ea_arr = np.array(eas)
         eb_arr = np.array(ebs)
         codes = (ea_arr > 1.0).astype(np.int8) + 2 * (eb_arr > 1.0).astype(np.int8)
         regimes = list(_REGIME_LUT[codes])
-        return TimeSeries(
-            times=np.array(ts),
-            eta_a=ea_arr,
-            eta_b=eb_arr,
-            regimes=regimes,
-            m_a=np.array(mas) if with_money else None,
-            m_b=np.array(mbs) if with_money else None,
-            events=events,
-        )
+        return TimeSeries(times=np.array(ts), eta_a=ea_arr, eta_b=eb_arr, regimes=regimes,
+                          m_a=np.array(mas) if with_money else None,
+                          m_b=np.array(mbs) if with_money else None, events=events)
 
     if policy is DepletionPolicy.HALT and (ea < 0.0 or eb < 0.0):
         which = "eta_a" if ea < 0.0 else "eta_b"
-        events.append((0.0, f"depletion: {which} negative at start"))
+        events.append(Event(0.0, "depletion", which, "negative at start"))
         return build()
 
     halt = policy is DepletionPolicy.HALT
@@ -297,7 +293,7 @@ def integrate_with_events(
                 which = "eta_a" if ea < 0.0 else "eta_b"
                 ea = ea if ea >= 0.0 else 0.0
                 eb = eb if eb >= 0.0 else 0.0
-                events.append((t_new, f"clamped {which} to zero"))
+                events.append(Event(t_new, "clamp", which))
             ts_app(t_new)
             eas_app(ea)
             ebs_app(eb)
@@ -309,46 +305,38 @@ def integrate_with_events(
         def step_fn(tau, _ea=ea, _eb=eb, _ma=ma, _mb=mb):
             return rk4(_ea, _eb, _ma, _mb, tau)
 
-        # Earliest guard crossing inside this step (rare path).
-        best_tau = None
-        best_y = None
-        best_desc = ""
-        best_halts = False
+        # Every guard crossing inside this step (rare path); the earliest wins,
+        # and on equal times the first found.
+        hits = []
         for idx, name, v0, v1 in ((0, "eta_a", ea, e1a), (1, "eta_b", eb, e1b)):
             above0 = v0 > 1.0
             if (v1 > 1.0) != above0:
-                tau, y_at = _bisect_guard(step_fn, idx, 1.0, above0, h_step, tol)
-                if best_tau is None or tau < best_tau:
-                    direction = "downward" if above0 else "upward"
-                    best_tau, best_y = tau, y_at
-                    best_desc = f"{name} crossed the threshold {direction}"
-                    best_halts = False
+                hits.append((*_bisect_guard(step_fn, idx, 1.0, above0, h_step, tol),
+                             "crossing", name, "downward" if above0 else "upward"))
             if halt and v0 >= 0.0 > v1:
-                tau, y_at = _bisect_guard(step_fn, idx, 0.0, True, h_step, tol)
-                if best_tau is None or tau < best_tau:
-                    best_tau, best_y = tau, y_at
-                    best_desc = f"depletion: {name} reached zero"
-                    best_halts = True
-
-        if best_tau is None:  # a side flipped, so some bisection must bracket
+                hits.append((*_bisect_guard(step_fn, idx, 0.0, True, h_step, tol),
+                             "depletion", name, "reached zero"))
+        if not hits:  # a side flipped, so some bisection must bracket
             raise RuntimeError(f"guard flip at t={t!r} but no crossing localized")
-        t_ev = t + best_tau
+        tau, y_at, kind, name, detail = min(hits, key=lambda hit: hit[0])
+        t_ev = t + tau
         if t_ev > horizon:
             t_ev = horizon
+        event = Event(t_ev, kind, name, detail)
         if t_ev <= t:
             raise RuntimeError(
-                f"event localization stalled at t={t!r} ({best_desc}); "
+                f"event localization stalled at t={t!r} ({event}); "
                 "cannot advance past the crossing"
             )
-        ea, eb, ma, mb = best_y
+        ea, eb, ma, mb = y_at
         ts.append(t_ev)
         eas.append(ea)
         ebs.append(eb)
         mas.append(ma)
         mbs.append(mb)
-        events.append((t_ev, best_desc))
+        events.append(event)
         t = t_ev
-        if best_halts:
+        if event.kind == "depletion":
             return build()
 
     return build()

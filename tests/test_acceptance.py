@@ -254,7 +254,7 @@ def test_criterion_9_event_time_accuracy():
             t_star = math.log((s0.eta_a - k_eq) / (1.0 - k_eq)) / sigma
 
         series = integrate_with_events(s0, econ, opts)
-        numeric_events = [t for t, d in series.events if "eta_a" in d]
+        numeric_events = [e.t for e in series.events if e.stock == "eta_a"]
         assert numeric_events, "the crossing must be detected"
         traj = simulate_analytic(s0, econ, 10.0)
         analytic_event = traj.segments[0].t_end

@@ -141,27 +141,46 @@ step = 0.1
     assert not list(tmp_path.glob("overflow*.csv"))
 
 
+# (scenario copy, --out, flags) where an output file is the scenario being read
+READS_ITSELF = {
+    "simulate": [("s.scenario", "s.scenario", ["--numeric"]), ("x.gnuplot", "x.csv", ["--plot"])],
+    "region": [("r.scenario", "r.scenario", []), ("x.gnuplot", "x.csv", ["--plot"])],
+}
+
+
 @pytest.mark.parametrize("command, scenario, engines", [
     ("simulate", "crossing.scenario", ("integrate_with_events", "simulate_analytic")),
     ("region", "fig2.scenario", ("scan_region",)),
 ])
 def test_unusable_out_exits_before_any_compute(tmp_path, capsys, monkeypatch,
                                                command, scenario, engines):
+    reads_itself = READS_ITSELF[command]
+
     def no_compute(*args, **kwargs):
         raise AssertionError("compute ran before the output path was checked")
 
     for name in engines:
         monkeypatch.setattr(cli, name, no_compute)
     (tmp_path / "plot.gnuplot").mkdir()
-    for out, flags in ((tmp_path, []), (tmp_path / "missing" / "out.csv", []),
-                       (tmp_path / "plot.csv", ["--plot"]),
-                       (tmp_path / "data.gnuplot", ["--plot"])):  # script is the data file
-        code = main([command, str(SCENARIO_DIR / scenario), "--out", str(out), *flags])
+    original = (SCENARIO_DIR / scenario).read_bytes()
+    inputs = tmp_path / "in"  # scenario copies that an output would replace
+    inputs.mkdir()
+    cases = [(SCENARIO_DIR / scenario, out, flags) for out, flags in (
+        (tmp_path, []), (tmp_path / "missing" / "out.csv", []),
+        (tmp_path / "plot.csv", ["--plot"]),
+        (tmp_path / "data.gnuplot", ["--plot"]))]  # script is the data file
+    for name, out, flags in reads_itself:
+        (inputs / name).write_bytes(original)
+        cases.append((inputs / name, inputs / out, flags))
+    for path, out, flags in cases:
+        code = main([command, str(path), "--out", str(out), *flags])
         assert code == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write") and "Traceback" not in err
         assert err.count("\n") == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["plot.gnuplot"]
+        assert path.read_bytes() == original
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "plot.gnuplot"]
+    assert sorted(p.name for p in inputs.iterdir()) == sorted(n for n, _, _ in reads_itself)
 
 
 def test_output_reached_through_a_symlink_coincides(tmp_path, capsys, monkeypatch):
@@ -409,7 +428,7 @@ def _simpson_money_per_sample(traj, econ, prices, money0, times):
 
 
 def _money_both_ways(traj, econ, prices, money0, step):
-    times = cli._sample_times(traj.horizon, step, traj.switch_times())
+    times = cli._sample_times(traj.horizon, step, [e.t for e in traj.events])
     got = cli._money_along(traj, econ, prices, money0, times, traj.states_at(times))
     return got, _simpson_money_per_sample(traj, econ, prices, money0, times)
 
@@ -634,6 +653,61 @@ def test_output_bytes_match_pinned_digest(tmp_path, argv, digest):
     digests = digest if isinstance(digest, dict) else {out.name: digest}
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in digests} == digests
+
+
+# The depletion repro: eta_a falls at rate 0.5 and reaches zero at t = 1.
+DEPLETING = """[model]
+kind = one-good
+
+[good1]
+p_a = 0.5
+p_b = 1
+c_a = 1
+c_b = 1
+sigma = 1
+
+[initial]
+eta_a = 0.5
+eta_b = 0.5
+
+[solver]
+horizon = 10
+step = 0.01
+"""
+CLAMPED = DEPLETING + "depletion_policy = clamp_to_zero\n"
+
+# sha256 of stdout, NUL, stderr, NUL, exit code of `simulate run.scenario
+# --MODE --out out.csv`: every event line, the depletion halt and the
+# discrepancy error, byte for byte. The closed-form switch times and the
+# sup-norm take exp, so unlike PINNED_OUTPUTS these hold where exp rounds alike.
+PINNED_STDOUT = {
+    "crossing-numeric": (CROSSING, 0,
+                         "cfba13f5b686dca40ddeb626a221a7a27fe603493e317ff208eca05a421bd3d8"),
+    "crossing-analytic": (CROSSING, 0,
+                          "cedf7c9d4c6d2638dc5bf7d18d2ae6401ca23c09aca908f1cadd81abf1fb29a2"),
+    "crossing-both": (CROSSING, 0,
+                      "5a20f146b21ba4b4924899a6b8b0ca4466b4529634e42b1cf8f4b7ce0f1dab5a"),
+    "depleting-numeric": (DEPLETING, EXIT_DEPLETION,
+                          "48eb792f7e5590afe1d021277aee9118ada054aaf061b8b1fede760d4a04bdbe"),
+    "depleting-both": (DEPLETING, EXIT_DEPLETION,
+                       "bb53289072509c01a2bdbb524f06ef07b35a0bcd116883dca27b6f83932233e8"),
+    "clamped-numeric": (CLAMPED, EXIT_OK,
+                        "bd6fc00795515e1dd6e178bc6cfc5255aa86cd2be334cda7d4b728a19166053c"),
+    "clamped-both": (CLAMPED, EXIT_NUMERIC,
+                     "f31e877662ea9b45eca564c868f4650da1ca02cf24b50cc55d09c3deb19fb1bb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_STDOUT))
+def test_simulate_stdout_matches_pinned_digest(tmp_path, monkeypatch, capsys, case):
+    text, code, digest = PINNED_STDOUT[case]
+    monkeypatch.chdir(tmp_path)
+    Path("run.scenario").write_text(text)
+    mode = case.split("-")[1]
+    assert main(["simulate", "run.scenario", f"--{mode}", "--out", "out.csv"]) == code
+    captured = capsys.readouterr()
+    blob = f"{captured.out}\0{captured.err}\0{code}".encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_region_empty_is_still_success(tmp_path, capsys):

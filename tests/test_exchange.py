@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tradeflow.core import GoodEconomy, NormalizedState, Regime
-from tradeflow.exchange import classify_regime, exchange_flow, rhs
+from tradeflow.exchange import classify_regime, exchange_flow, flow_array, rhs
 
 etas = st.floats(-2.0, 4.0, allow_nan=False)
 rates = st.floats(0.0, 5.0, allow_nan=False)
@@ -88,3 +89,16 @@ def test_bilateral_flow_antisymmetric(eta_a, eta_b):
 def test_flow_sign_matches_exporter(above, below):
     assert exchange_flow(NormalizedState(above, below)) >= 0.0
     assert exchange_flow(NormalizedState(below, above)) <= 0.0
+
+
+def test_scalar_flow_is_bit_equal_to_the_array_flow():
+    rng = np.random.default_rng(5)
+    edges = [1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 0.0, -0.0, -1.0,
+             -5e-324, 5e-324, 1e308, -1e308, 2.0, 1.0 + 2.0**-30]
+    pairs = [(a, b) for a in edges for b in edges]
+    pairs += list(zip(rng.uniform(-3.0, 4.0, 2000), rng.uniform(-3.0, 4.0, 2000)))
+    pairs += list(zip(1.0 + rng.uniform(-1e-15, 1e-15, 200), rng.uniform(-3.0, 4.0, 200)))
+    eta_a, eta_b = (np.array(column, dtype=float) for column in zip(*pairs))
+    scalar = np.array([exchange_flow(NormalizedState(a, b))
+                       for a, b in zip(eta_a.tolist(), eta_b.tolist())])
+    assert scalar.tobytes() == flow_array(eta_a, eta_b).tobytes()

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from tradeflow.analytic import solve_a_exports
-from tradeflow.core import GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
+from tradeflow.core import Event, GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
 from tradeflow.exchange import rhs
 from tradeflow.integrator import (
     DepletionPolicy,
@@ -108,8 +108,9 @@ def test_integration_matches_one_sided_closed_form():
 def test_event_time_matches_linear_crossing():
     econ = GoodEconomy(p_a=1.25, p_b=1.0, c_a=1.0, c_b=1.0, sigma=1.0)
     series = integrate_with_events(NormalizedState(0.5, 0.5), econ, _opts())
-    assert series.events[0][1] == "eta_a crossed the threshold upward"
-    assert abs(series.events[0][0] - 2.0) <= 1e-8
+    event = series.events[0]
+    assert (event.kind, event.stock, event.detail) == ("crossing", "eta_a", "upward")
+    assert abs(event.t - 2.0) <= 1e-8
 
 
 def test_event_time_matches_exponential_crossing():
@@ -121,7 +122,7 @@ def test_event_time_matches_exponential_crossing():
     k_eq = (econ.net_a + sigma) / sigma
     t_star = math.log((s0.eta_a - k_eq) / (1.0 - k_eq)) / sigma
     series = integrate_with_events(s0, econ, _opts())
-    crossing = [t for t, d in series.events if "eta_a" in d][0]
+    crossing = [e.t for e in series.events if e.stock == "eta_a"][0]
     assert abs(crossing - t_star) <= 1e-8
 
 
@@ -131,11 +132,25 @@ def test_recorded_events_sit_on_the_guard():
         econ = GoodEconomy(*rng.uniform(0, 5, size=4), rng.uniform(0, 5))
         s0 = NormalizedState(rng.uniform(0, 3), rng.uniform(0, 3))
         series = integrate_with_events(s0, econ, _opts())
-        for t_ev, desc in series.events:
-            i = int(np.searchsorted(series.times, t_ev))
-            assert series.times[i] == t_ev  # events appear in the series
-            eta = series.eta_a[i] if "eta_a" in desc else series.eta_b[i]
+        for e in series.events:
+            assert e.kind == "crossing"
+            i = int(np.searchsorted(series.times, e.t))
+            assert series.times[i] == e.t  # events appear in the series
+            eta = series.eta_a[i] if e.stock == "eta_a" else series.eta_b[i]
             assert abs(eta - 1.0) <= 1e-8
+
+
+def test_simultaneous_crossings_keep_the_first_found():
+    # mirrored economies: both stocks reach a guard at the same bisected time,
+    # and the event names eta_a, whose guard is searched first
+    rising = integrate_with_events(NormalizedState(0.5, 0.5),
+                                   GoodEconomy(1.25, 1.25, 1.0, 1.0, 1.0), _opts())
+    assert [(e.kind, e.stock) for e in rising.events] == [("crossing", "eta_a")]
+    assert rising.regimes[-1] is Regime.BILATERAL
+    draining = integrate_with_events(NormalizedState(0.5, 0.5),
+                                     GoodEconomy(0.75, 0.75, 1.0, 1.0, 1.0),
+                                     _opts(depletion_policy=DepletionPolicy.HALT))
+    assert [(e.kind, e.stock) for e in draining.events] == [("depletion", "eta_a")]
 
 
 def test_sampling_includes_horizon_and_is_strictly_increasing():
@@ -216,8 +231,8 @@ def test_depletion_halt_truncates_at_zero():
     series = integrate_with_events(
         NormalizedState(0.9, 0.5), econ, _opts(depletion_policy=DepletionPolicy.HALT)
     )
-    assert series.events[-1][1] == "depletion: eta_b reached zero"
-    assert abs(series.events[-1][0] - 2.5) <= 1e-8
+    assert series.events[-1] == Event(series.times[-1], "depletion", "eta_b", "reached zero")
+    assert abs(series.events[-1].t - 2.5) <= 1e-8
     assert abs(series.eta_b[-1]) <= 1e-8
     assert series.times[-1] < 10.0
 
@@ -234,7 +249,8 @@ def test_depletion_clamp_floors_at_zero():
         _opts(depletion_policy=DepletionPolicy.CLAMP_TO_ZERO),
     )
     assert series.eta_b.min() >= 0.0
-    assert any("clamped" in d for _, d in series.events)
+    assert series.events and all(e.kind == "clamp" and e.stock == "eta_b"
+                                 for e in series.events)
 
 
 def test_negative_initial_stock_halts_immediately():
@@ -243,7 +259,7 @@ def test_negative_initial_stock_halts_immediately():
         _opts(depletion_policy=DepletionPolicy.HALT),
     )
     assert len(series) == 1
-    assert series.events[0][0] == 0.0
+    assert series.events == [Event(0.0, "depletion", "eta_a", "negative at start")]
 
 
 # ------------------------------------------------------------- money
