@@ -21,7 +21,7 @@ from .analytic import PiecewiseTrajectory, simulate_analytic
 from .core import GoodEconomy, MoneyState, PriceSet
 from .exchange import flow_array
 from .integrator import TimeSeries, integrate_with_events
-from .money import base_money_rates, one_good_money_rates
+from .money import money_holdings, one_good_money_rates
 from .region import feasible_k_interval, scan_region
 from .scenario import Scenario, ScenarioError, parse_scenario
 from .steady import fixed_point_production
@@ -175,28 +175,20 @@ def _money_along(
     times: np.ndarray,
     states: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the money rates along a closed-form trajectory sampled at
-    ``times`` (stocks ``states``).
+    """Money holdings along a closed-form trajectory sampled at ``times``
+    (stocks ``states``).
 
-    The rates depend on time only through the known state, so fourth-order
-    stepping reduces to Simpson quadrature over each sample interval; the
-    holdings add the increments in sequence.
+    The rates depend on time only through the known state, so the RK4 money
+    rule of ``money.money_holdings`` that the numeric engine uses, given the
+    exact flow at each interval's ends and midpoint, is Simpson quadrature
+    over each sample interval.
     """
-    base_a, base_b = base_money_rates(econ, prices)
-    y = prices.y
     t0 = times[:-1]
     h = times[1:] - t0
     mid = traj.states_at(t0 + 0.5 * h)
     sf = econ.sigma * flow_array(states[:, 0], states[:, 1])
     sf_mid = econ.sigma * flow_array(mid[:, 0], mid[:, 1])
-    m0 = money0 if money0 is not None else MoneyState(0.0, 0.0)
-
-    def holdings(m_start: float, r: np.ndarray, r_mid: np.ndarray) -> np.ndarray:
-        increments = h / 6.0 * (r[:-1] + 4.0 * r_mid + r[1:])
-        return np.cumsum(np.concatenate(([m_start], increments)))
-
-    return (holdings(m0.m_a, base_a + y * sf, base_a + y * sf_mid),
-            holdings(m0.m_b, base_b - y * sf, base_b - y * sf_mid))
+    return money_holdings(econ, prices, money0, h, sf[:-1], sf_mid, sf_mid, sf[1:])
 
 
 def _analytic_series(

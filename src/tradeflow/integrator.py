@@ -1,19 +1,23 @@
 """Fixed-step classical Runge-Kutta integration with event detection.
 
-Serves as the independent numeric oracle for the closed-form engine and as
-the only place money is co-integrated. Threshold crossings (and, under the
-halt policy, stock depletion) are localized inside a step by bisection on
-single partial steps, recorded as typed :class:`~tradeflow.core.Event`
-records (kind ``crossing`` or ``depletion``; ``clamp`` under the
-clamp-to-zero policy), and integration restarts from the crossing. Only the
-halt policy emits ``depletion``, and that event ends the series.
+Serves as the independent numeric oracle for the closed-form engine.
+Threshold crossings (and, under the halt policy, stock depletion) are
+localized inside a step by bisection on single partial steps, recorded as
+typed :class:`~tradeflow.core.Event` records (kind ``crossing`` or
+``depletion``; ``clamp`` under the clamp-to-zero policy), and integration
+restarts from the crossing. Only the halt policy emits ``depletion``, and
+that event ends the series.
 
-Money co-integration extends the fixed-point money rates to arbitrary states:
-each country spends its production cost per unit produced and earns the
-market price on domestic consumption plus net exports, so
+Money extends the fixed-point money rates to arbitrary states: each country
+spends its production cost per unit produced and earns the market price on
+domestic consumption plus net exports, so
 dm_a/dt = -x_a*p_a + y*(c_a + sigma*f) and symmetrically for B with the flow
 sign reversed. At a one-sided export fixed point this reduces to the margin
-times the production rate.
+times the production rate. Money never feeds back into the stocks, so the
+RK4 loop steps the stocks alone and records each step's length; after it,
+the stage flows of every step are replayed as arrays and
+``money.money_holdings``, the rule both engines share, integrates them to
+the values that stepping money inside the loop gives.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from enum import Enum
 import numpy as np
 
 from .core import Event, GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
-from .exchange import GUARD_STATE_TOL, bisect, regime_from_sides
-from .money import base_money_rates
+from .exchange import GUARD_STATE_TOL, bisect, flow_array, regime_from_sides
+from .money import money_holdings
 
 __all__ = [
     "DepletionPolicy",
@@ -118,94 +122,70 @@ class TimeSeries:
         return MoneyState(float(self.m_a[i]), float(self.m_b[i]))
 
 
-def _make_rk4(econ: GoodEconomy, prices: PriceSet | None):
-    """Classical four-stage step of (eta_a, eta_b, m_a, m_b) as one closure.
+def _make_rk4(econ: GoodEconomy):
+    """Classical four-stage step of the stocks (eta_a, eta_b) as one closure.
 
-    Each stage inlines the stock derivative of exchange.rhs and the money
-    rates base + y*sigma*f for the hot loop; the bit-equality of the stock
-    part with rhs is pinned by a test."""
+    Each stage inlines the stock derivative of exchange.rhs (``0.0 if u < 1.0
+    else u - 1.0`` is max(u - 1, 0), NaN included); the bit-equality with rhs
+    is pinned by a test. Money is not stepped here: ``_stage_flows`` replays
+    the stage flows of the recorded steps after the loop."""
     sig = econ.sigma
     na = econ.p_a - econ.c_a
     nb = econ.p_b - econ.c_b
-    if prices is not None:
-        y = prices.y
-        base_a, base_b = base_money_rates(econ, prices)
-    else:
-        y = base_a = base_b = 0.0
 
-    def step(ea: float, eb: float, ma: float, mb: float, h: float):
+    def step(ea: float, eb: float, h: float):
         half = 0.5 * h
-        ex_a = ea - 1.0
-        if ex_a < 0.0:
-            ex_a = 0.0
-        ex_b = eb - 1.0
-        if ex_b < 0.0:
-            ex_b = 0.0
-        sf = sig * (ex_a - ex_b)
+        sf = sig * ((0.0 if ea < 1.0 else ea - 1.0) - (0.0 if eb < 1.0 else eb - 1.0))
         k1a = na - sf
         k1b = nb + sf
-        k1c = base_a + y * sf
-        k1d = base_b - y * sf
 
         ua = ea + half * k1a
         ub = eb + half * k1b
-        ex_a = ua - 1.0
-        if ex_a < 0.0:
-            ex_a = 0.0
-        ex_b = ub - 1.0
-        if ex_b < 0.0:
-            ex_b = 0.0
-        sf = sig * (ex_a - ex_b)
+        sf = sig * ((0.0 if ua < 1.0 else ua - 1.0) - (0.0 if ub < 1.0 else ub - 1.0))
         k2a = na - sf
         k2b = nb + sf
-        k2c = base_a + y * sf
-        k2d = base_b - y * sf
 
         ua = ea + half * k2a
         ub = eb + half * k2b
-        ex_a = ua - 1.0
-        if ex_a < 0.0:
-            ex_a = 0.0
-        ex_b = ub - 1.0
-        if ex_b < 0.0:
-            ex_b = 0.0
-        sf = sig * (ex_a - ex_b)
+        sf = sig * ((0.0 if ua < 1.0 else ua - 1.0) - (0.0 if ub < 1.0 else ub - 1.0))
         k3a = na - sf
         k3b = nb + sf
-        k3c = base_a + y * sf
-        k3d = base_b - y * sf
 
         ua = ea + h * k3a
         ub = eb + h * k3b
-        ex_a = ua - 1.0
-        if ex_a < 0.0:
-            ex_a = 0.0
-        ex_b = ub - 1.0
-        if ex_b < 0.0:
-            ex_b = 0.0
-        sf = sig * (ex_a - ex_b)
+        sf = sig * ((0.0 if ua < 1.0 else ua - 1.0) - (0.0 if ub < 1.0 else ub - 1.0))
         k4a = na - sf
         k4b = nb + sf
-        k4c = base_a + y * sf
-        k4d = base_b - y * sf
 
         sixth = h / 6.0
         return (
             ea + sixth * (k1a + 2.0 * (k2a + k3a) + k4a),
             eb + sixth * (k1b + 2.0 * (k2b + k3b) + k4b),
-            ma + sixth * (k1c + 2.0 * (k2c + k3c) + k4c),
-            mb + sixth * (k1d + 2.0 * (k2d + k3d) + k4d),
         )
 
     return step
+
+
+def _stage_flows(econ: GoodEconomy, ea: np.ndarray, eb: np.ndarray, h: np.ndarray):
+    """The four stage flows sigma*f of ``_make_rk4`` for steps of length ``h``
+    from stocks (ea, eb): the kernel's IEEE operations in the kernel's order,
+    elementwise, so each value is bit-equal to the scalar stage's."""
+    sig = econ.sigma
+    na = econ.p_a - econ.c_a
+    nb = econ.p_b - econ.c_b
+    half = 0.5 * h
+    sf1 = sig * flow_array(ea, eb)
+    sf2 = sig * flow_array(ea + half * (na - sf1), eb + half * (nb + sf1))
+    sf3 = sig * flow_array(ea + half * (na - sf2), eb + half * (nb + sf2))
+    sf4 = sig * flow_array(ea + h * (na - sf3), eb + h * (nb + sf3))
+    return sf1, sf2, sf3, sf4
 
 
 def rk4_step(state: NormalizedState, econ: GoodEconomy, h: float) -> NormalizedState:
     """One classical fourth-order step of the autonomous stock dynamics."""
     if not (h > 0.0) or not math.isfinite(h):
         raise ValueError(f"step size must be positive and finite, got {h!r}")
-    ea, eb, _, _ = _make_rk4(econ, None)(state.eta_a, state.eta_b, 0.0, 0.0, h)
-    return NormalizedState(ea, eb)
+    return NormalizedState(*_make_rk4(econ)(state.eta_a, state.eta_b, h))
 
 
 def _bisect_guard(step_fn, idx: int, target: float, above0: bool, h_step: float, tol: float):
@@ -234,34 +214,34 @@ def integrate_with_events(
     eta = 0 is localized the same way and terminates the series with a
     depletion event. Identical inputs produce bit-identical output.
     """
-    rk4 = _make_rk4(econ, prices)
-    with_money = prices is not None
+    rk4 = _make_rk4(econ)
     policy = opts.depletion_policy
     horizon = opts.horizon
     step = opts.step
     tol = opts.event_tol
 
     ea, eb = state0.eta_a, state0.eta_b
-    if money0 is not None:
-        ma, mb = money0.m_a, money0.m_b
-    else:
-        ma, mb = 0.0, 0.0
-
     ts = [0.0]
     eas = [ea]
     ebs = [eb]
-    mas = [ma]
-    mbs = [mb]
+    hs: list[float] = []  # length of the step that ended at each later sample
     events: list[Event] = []
 
     def build() -> TimeSeries:
+        times = np.array(ts)
         ea_arr = np.array(eas)
         eb_arr = np.array(ebs)
+        h = np.array(hs)
+        del ts[:], eas[:], ebs[:], hs[:]  # free them before the money pass (peak memory)
         codes = (ea_arr > 1.0).astype(np.int8) + 2 * (eb_arr > 1.0).astype(np.int8)
         regimes = list(_REGIME_LUT[codes])
-        return TimeSeries(times=np.array(ts), eta_a=ea_arr, eta_b=eb_arr, regimes=regimes,
-                          m_a=np.array(mas) if with_money else None,
-                          m_b=np.array(mbs) if with_money else None, events=events)
+        m_a = m_b = None
+        if prices is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                m_a, m_b = money_holdings(econ, prices, money0, h,
+                                          *_stage_flows(econ, ea_arr[:-1], eb_arr[:-1], h))
+        return TimeSeries(times=times, eta_a=ea_arr, eta_b=eb_arr, regimes=regimes,
+                          m_a=m_a, m_b=m_b, events=events)
 
     if policy is DepletionPolicy.HALT and (ea < 0.0 or eb < 0.0):
         which = "eta_a" if ea < 0.0 else "eta_b"
@@ -270,14 +250,13 @@ def integrate_with_events(
 
     halt = policy is DepletionPolicy.HALT
     clamp = policy is DepletionPolicy.CLAMP_TO_ZERO
-    ts_app, eas_app, ebs_app = ts.append, eas.append, ebs.append
-    mas_app, mbs_app = mas.append, mbs.append
+    ts_app, eas_app, ebs_app, hs_app = ts.append, eas.append, ebs.append, hs.append
     t = 0.0
     while t < horizon:
         h_step = horizon - t
         if h_step > step:
             h_step = step
-        e1a, e1b, m1a, m1b = rk4(ea, eb, ma, mb, h_step)
+        e1a, e1b = rk4(ea, eb, h_step)
 
         # Fast path: no guard changed side inside this step.
         if (
@@ -288,7 +267,7 @@ def integrate_with_events(
             t_new = t + h_step
             if t_new <= t:
                 break  # horizon reached within float resolution
-            ea, eb, ma, mb = e1a, e1b, m1a, m1b
+            ea, eb = e1a, e1b
             if clamp and (ea < 0.0 or eb < 0.0):
                 which = "eta_a" if ea < 0.0 else "eta_b"
                 ea = ea if ea >= 0.0 else 0.0
@@ -297,13 +276,12 @@ def integrate_with_events(
             ts_app(t_new)
             eas_app(ea)
             ebs_app(eb)
-            mas_app(ma)
-            mbs_app(mb)
+            hs_app(h_step)
             t = t_new
             continue
 
-        def step_fn(tau, _ea=ea, _eb=eb, _ma=ma, _mb=mb):
-            return rk4(_ea, _eb, _ma, _mb, tau)
+        def step_fn(tau, _ea=ea, _eb=eb):
+            return rk4(_ea, _eb, tau)
 
         # Every guard crossing inside this step (rare path); the earliest wins,
         # and on equal times the first found.
@@ -328,12 +306,11 @@ def integrate_with_events(
                 f"event localization stalled at t={t!r} ({event}); "
                 "cannot advance past the crossing"
             )
-        ea, eb, ma, mb = y_at
-        ts.append(t_ev)
-        eas.append(ea)
-        ebs.append(eb)
-        mas.append(ma)
-        mbs.append(mb)
+        ea, eb = y_at
+        ts_app(t_ev)
+        eas_app(ea)
+        ebs_app(eb)
+        hs_app(tau)  # the bisected length; t_ev may be cut back to the horizon
         events.append(event)
         t = t_ev
         if event.kind == "depletion":

@@ -1,4 +1,4 @@
-"""Money analysis at trade fixed points.
+"""Money along trajectories and at trade fixed points.
 
 One good alone cannot pay both ways: with an A-advantaged good, country B's
 money rate is the (negative) margin times its own production, so B breaks
@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import GoodEconomy, PriceSet, TwoGoodScenario, validate_scenario
+import numpy as np
+
+from .core import GoodEconomy, MoneyState, PriceSet, TwoGoodScenario, validate_scenario
 from .steady import fixed_point_production
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "FeasibilityResult",
     "margins",
     "base_money_rates",
+    "money_holdings",
     "one_good_money_rates",
     "balanced_sigma2",
     "trade_balances",
@@ -91,6 +94,30 @@ def base_money_rates(econ: GoodEconomy, prices: PriceSet) -> tuple[float, float]
     adds y*sigma*f to A's rate and subtracts it from B's."""
     y = prices.y
     return -prices.x_a * econ.p_a + y * econ.c_a, -prices.x_b * econ.p_b + y * econ.c_b
+
+
+def money_holdings(econ: GoodEconomy, prices: PriceSet, money0: MoneyState | None,
+                   h: np.ndarray, sf1, sf2, sf3, sf4) -> tuple[np.ndarray, np.ndarray]:
+    """Money holdings of both countries at every sample of a trajectory.
+
+    Money never feeds back into the stocks, so a classical RK4 step of the
+    money rates is a quadrature over the step's four stage flows sigma*f
+    (arrays ``sf1``..``sf4``, one entry per step of length ``h``): with rates
+    r = base +- y*sf, each increment is h/6*(r1 + 2*(r2 + r3) + r4), and with
+    the exact midpoint flow as both ``sf2`` and ``sf3`` this is Simpson's
+    rule. The holdings start at ``money0`` (zero if None) and add the
+    increments in sequence."""
+    base_a, base_b = base_money_rates(econ, prices)
+    y = prices.y
+    sixth = h / 6.0
+    m0 = money0 if money0 is not None else MoneyState(0.0, 0.0)
+
+    def holdings(m_start: float, rate) -> np.ndarray:
+        increments = sixth * (rate(sf1) + 2.0 * (rate(sf2) + rate(sf3)) + rate(sf4))
+        return np.cumsum(np.concatenate(([m_start], increments)))
+
+    return (holdings(m0.m_a, lambda sf: base_a + y * sf),
+            holdings(m0.m_b, lambda sf: base_b - y * sf))
 
 
 def one_good_money_rates(

@@ -175,6 +175,9 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     prices1 = _parse_prices(cp, "prices1", required=two, problems=problems)
     prices2 = _parse_prices(cp, "prices2", required=two, problems=problems) if two else None
     initial, initial_money = _parse_initial(cp, problems)
+    if initial_money is not None and not cp.has_section("prices1") and (
+            initial_money.m_a != 0.0 or initial_money.m_b != 0.0):
+        problems.append("[initial]: money holdings m_a, m_b need a [prices1] section")
     solver = _parse_solver(cp, problems)
     grid = _parse_grid(cp, problems)
     if grid is not None and not two:

@@ -769,6 +769,23 @@ def test_invalid_scenario_file_lists_problems(tmp_path, capsys):
     assert "good1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("money", ["m_a = 5\n", "m_b = -0.5\n"], ids=["m_a", "m_b"])
+def test_holdings_without_prices_are_an_input_error(tmp_path, capsys, money):
+    path = tmp_path / "run.scenario"
+    path.write_text(CROSSING.replace("eta_b = 0.5\n", "eta_b = 0.5\n" + money))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", str(path), "--numeric", "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "[prices1]" in err[0]
+    assert not out.exists()
+
+
+def test_zero_holdings_without_prices_are_accepted(tmp_path):
+    path = tmp_path / "run.scenario"
+    path.write_text(CROSSING.replace("eta_b = 0.5\n", "eta_b = 0.5\nm_a = 0\nm_b = -0\n"))
+    assert main(["simulate", str(path), "--numeric", "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+
+
 def test_usage_errors_exit_with_input_code():
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required arguments

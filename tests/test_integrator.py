@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -324,3 +325,58 @@ def test_timeseries_regimes_follow_the_samples():
     assert first is Regime.NO_EXCHANGE
     assert last in (Regime.A_EXPORTS, Regime.BILATERAL)
     assert series.state(0) == NormalizedState(0.5, 0.5)
+
+
+# ------------------------------------------------------------- pinned bytes
+
+_POLICIES = (DepletionPolicy.CONTINUE, DepletionPolicy.CLAMP_TO_ZERO, DepletionPolicy.HALT)
+
+
+def _pinned_draws(n=600, seed=8):
+    """Seeded, event-dense integrations: starts within reach of the threshold
+    and of zero, every depletion policy, with and without prices and money0."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        econ = GoodEconomy(*rng.uniform(0.0, 2.0, size=4), rng.uniform(0.0, 4.0))
+        s0 = NormalizedState(*rng.uniform(-0.05, 2.0, size=2))
+        prices = PriceSet(*rng.uniform(0.0, 3.0, size=3))
+        money0 = MoneyState(*rng.uniform(-2.0, 2.0, size=2))
+        opts = _opts(horizon=2.0, step=1e-2, depletion_policy=_POLICIES[i % 3])
+        yield (s0, econ, opts, prices if i % 2 else None,
+               money0 if (i // 6) % 2 else None)
+
+
+def _series_digest(series_list):
+    h = hashlib.sha256()
+    for s in series_list:
+        arrays = [s.times, s.eta_a, s.eta_b]
+        if s.m_a is not None:
+            h.update(b"money")
+            arrays += [s.m_a, s.m_b]
+        for arr in arrays:
+            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        h.update(repr(s.events).encode())
+    return h.hexdigest()
+
+
+# sha256 of times, stocks, money and events over _pinned_draws(); the kernel
+# takes + - * / only, so this holds on every IEEE platform
+PINNED_SERIES_DIGEST = "93d39433ff693c3c0911f3263e71ee1dd75046aa39a508a281dc54ed2648d3cf"
+
+
+def test_integrator_bytes_match_pinned_digest():
+    series_list = [integrate_with_events(*draw) for draw in _pinned_draws()]
+    assert sum(e.kind == "crossing" for s in series_list for e in s.events) >= 400
+    assert {e.kind for s in series_list for e in s.events} == {"crossing", "depletion", "clamp"}
+    assert _series_digest(series_list) == PINNED_SERIES_DIGEST
+
+
+def test_money_never_feeds_back_into_stocks_times_or_events():
+    for s0, econ, opts, prices, money0 in _pinned_draws(n=120, seed=9):
+        prices = prices or PriceSet(1.0, 2.0, 1.5)
+        bare = integrate_with_events(s0, econ, opts)
+        priced = integrate_with_events(s0, econ, opts, prices=prices, money0=money0)
+        assert bare.m_a is None and priced.m_a is not None
+        for name in ("times", "eta_a", "eta_b"):
+            assert getattr(bare, name).tobytes() == getattr(priced, name).tobytes()
+        assert repr(bare.events) == repr(priced.events)

@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tradeflow.core import GoodEconomy, NormalizedState, PriceSet, TwoGoodScenario
+from tradeflow.core import GoodEconomy, MoneyState, NormalizedState, PriceSet, TwoGoodScenario
 from tradeflow.integrator import DepletionPolicy, SolverOptions, integrate_with_events
 from tradeflow.money import (
     balanced_sigma2,
+    base_money_rates,
     feasibility_at_k,
     feasibility_check,
     margins,
+    money_holdings,
     one_good_money_rates,
     trade_balances,
     two_good_money_rates,
@@ -258,7 +260,7 @@ def test_feasibility_matches_the_pre_elimination_oracle():
 
 def test_feasible_point_money_never_decreases_in_simulation():
     # build both goods' fixed points at a feasible (sigma1, eta_a1) and
-    # co-integrate money; the combined holdings must not drift down
+    # integrate money along the RK4 steps; the combined holdings must not drift down
     s = fig_scenario(eta_a1=2.5, eta_b2=2.0)
     sigma1 = 2.0
     r = feasibility_check(s, sigma1, eta_a1=2.5)
@@ -347,3 +349,61 @@ def test_feasibility_rejects_bad_arguments():
         feasibility_check(s, -1.0)
     with pytest.raises(ValueError, match="eta_a1"):
         feasibility_check(s, 1.0, eta_a1=0.5)
+
+
+# ------------------------------------------------------------- money_holdings
+
+def _signed_log_uniform(rng, lo, hi, size):
+    return rng.choice([-1.0, 1.0], size=size) * 10.0 ** rng.uniform(lo, hi, size=size)
+
+
+def test_money_holdings_adds_rk4_increments_in_sequence():
+    rng = np.random.default_rng(11)
+    econ = GoodEconomy(1.5, 0.5, 1.0, 2.0, 3.0)
+    prices = PriceSet(1.0, 3.0, 2.0)
+    base_a, base_b = base_money_rates(econ, prices)
+    h = rng.uniform(1e-3, 1e-1, size=50)
+    sfs = [rng.uniform(-2.0, 2.0, size=50) for _ in range(4)]
+    m_a, m_b = money_holdings(econ, prices, MoneyState(3.0, -1.0), h, *sfs)
+    ma, mb = 3.0, -1.0
+    assert (m_a[0], m_b[0]) == (ma, mb)
+    for i in range(50):
+        sixth = float(h[i]) / 6.0
+        ka = [base_a + 2.0 * float(sf[i]) for sf in sfs]
+        kb = [base_b - 2.0 * float(sf[i]) for sf in sfs]
+        ma = ma + sixth * (ka[0] + 2.0 * (ka[1] + ka[2]) + ka[3])
+        mb = mb + sixth * (kb[0] + 2.0 * (kb[1] + kb[2]) + kb[3])
+        assert (m_a[i + 1], m_b[i + 1]) == (ma, mb)
+
+
+def test_money_holdings_without_steps_is_the_start():
+    econ = GoodEconomy(1.0, 1.0, 1.0, 1.0, 1.0)
+    empty = np.array([])
+    m_a, m_b = money_holdings(econ, FIG_PRICES1, None, empty, empty, empty, empty, empty)
+    assert m_a.tolist() == [0.0] and m_b.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("top", [3.0, 306.0, 308.0])
+def test_money_holdings_with_one_midpoint_flow_is_simpson(top):
+    # sf2 is sf3: 2*(rm + rm) == 4*rm exactly, also where either overflows
+    rng = np.random.default_rng(12)
+    n = 400
+    econ = GoodEconomy(*rng.uniform(0.0, 2.0, size=4), 1.0)
+    prices = PriceSet(*rng.uniform(0.0, 3.0, size=3))
+    h = 10.0 ** rng.uniform(-4, 0, size=n)
+    sf = _signed_log_uniform(rng, -3, top, n + 1)
+    sf_mid = _signed_log_uniform(rng, -3, top, n)
+    money0 = MoneyState(*_signed_log_uniform(rng, -3, top, 2))
+    base_a, base_b = base_money_rates(econ, prices)
+    y = prices.y
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = money_holdings(econ, prices, money0, h, sf[:-1], sf_mid, sf_mid, sf[1:])
+        expected = []
+        for m_start, r, r_mid in ((money0.m_a, base_a + y * sf, base_a + y * sf_mid),
+                                  (money0.m_b, base_b - y * sf, base_b - y * sf_mid)):
+            increments = h / 6.0 * (r[:-1] + 4.0 * r_mid + r[1:])
+            expected.append(np.cumsum(np.concatenate(([m_start], increments))))
+    for g, e in zip(got, expected):
+        assert g.tobytes() == e.tobytes()
+    if top > 307.0:
+        assert not np.isfinite(got[0]).all()  # the overflow branch was reached
