@@ -226,18 +226,29 @@ class PiecewiseTrajectory:
         return np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
 
     def states_at(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; returns an (n, 2) array of (eta_a, eta_b)."""
+        """Vectorized evaluation; returns an (n, 2) array of (eta_a, eta_b).
+
+        Each segment is evaluated on one contiguous slice of the (stably)
+        sorted times, bounded by the rule of :meth:`segment_at`: a time equal
+        to a segment start belongs to that later segment."""
         times = np.asarray(times, dtype=float)
-        if times.size and (times.min() < 0.0 or times.max() > self.horizon):
-            raise ValueError("sample times outside [0, horizon]")
-        owner = self.segment_indices(times)
+        if times.size and not (times.min() >= 0.0 and times.max() <= self.horizon):
+            raise ValueError("sample times outside [0, horizon]")  # NaN included
+        order = None
+        if not (times[1:] >= times[:-1]).all():
+            order = np.argsort(times, kind="stable")
+            times = times[order]
+        bounds = np.searchsorted(times, [seg.t_start for seg in self.segments]).tolist()
+        bounds[0] = 0
+        bounds.append(times.size)
         out = np.empty((times.size, 2))
-        for k in np.flatnonzero(np.bincount(owner)).tolist():  # segments owning a time
-            seg = self.segments[k]
-            mask = owner == k
-            tau = times[mask] - seg.t_start
-            out[mask, 0] = seg.form_a.value_array(tau)
-            out[mask, 1] = seg.form_b.value_array(tau)
+        for seg, lo, hi in zip(self.segments, bounds, bounds[1:]):
+            if lo < hi:
+                tau = times[lo:hi] - seg.t_start
+                out[lo:hi, 0] = seg.form_a.value_array(tau)
+                out[lo:hi, 1] = seg.form_b.value_array(tau)
+        if order is not None:
+            out[order] = out.copy()
         return out
 
 

@@ -134,7 +134,7 @@ def _write_timeseries(path: Path, series: TimeSeries, lead: list) -> None:
     """Write the series; ``lead`` holds its t, eta_a and eta_b columns, as
     arrays or already formatted as one string column."""
     header = "t,eta_a,eta_b,regime,f"
-    columns = lead + [[r.value for r in series.regimes],
+    columns = lead + [[r._value_ for r in series.regimes],  # `.value` is a slow Enum property
                       flow_array(series.eta_a, series.eta_b)]
     if series.m_a is not None:
         header += ",m_a,m_b"
@@ -162,9 +162,13 @@ def _timeseries_plot_script(data_name: str, with_money: bool) -> list[str]:
 
 
 def _sample_times(horizon: float, step: float, extra: list[float]) -> np.ndarray:
+    """The step grid, the horizon and the ``extra`` times within [0, horizon],
+    sorted without repeats: the bytes of ``np.unique``, which would import
+    ``numpy.ma``."""
     grid = np.arange(int(horizon / step) + 1) * step
     extra = [t for t in extra if 0.0 <= t <= horizon]
-    return np.unique(np.concatenate([grid[grid <= horizon], [horizon], extra]))
+    times = np.sort(np.concatenate([grid[grid <= horizon], [horizon], extra]))
+    return times[np.concatenate([[True], times[1:] != times[:-1]])]
 
 
 def _money_along(

@@ -243,6 +243,39 @@ def test_states_at_uses_the_owner_rule_of_segment_at():
             assert row == [seg.form_a.value_array(tau)[0], seg.form_b.value_array(tau)[0]]
 
 
+def test_states_at_matches_per_time_evaluation_bit_for_bit():
+    # unsorted times with repeats, exact segment starts and both ends of the
+    # horizon, against one segment_at(t) evaluation per time
+    rng = np.random.default_rng(31)
+    multi = 0
+    for _ in range(40):
+        traj = simulate_analytic(NormalizedState(*rng.uniform(0, 3, size=2)),
+                                 _random_econ(rng), 10.0)
+        multi += len(traj.segments) > 1
+        starts = [seg.t_start for seg in traj.segments]
+        drawn = rng.uniform(0.0, 10.0, 48)
+        ts = np.concatenate([drawn, drawn[:8], starts, starts, [0.0, 10.0, 10.0]])
+        rng.shuffle(ts)
+        rows = []
+        for t in ts.tolist():
+            seg = traj.segment_at(t)
+            tau = np.array([t - seg.t_start])
+            rows.append([seg.form_a.value_array(tau)[0], seg.form_b.value_array(tau)[0]])
+        assert traj.states_at(ts).tobytes() == np.array(rows).tobytes()
+        assert traj.states_at(np.sort(ts)).tobytes() == np.array(rows)[np.argsort(ts)].tobytes()
+    assert multi >= 20
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, 10.5])
+def test_states_at_rejects_times_outside_the_horizon(bad):
+    econ = GoodEconomy(p_a=1.25, p_b=1.0, c_a=1.0, c_b=1.0, sigma=1.0)
+    traj = simulate_analytic(NormalizedState(0.5, 0.5), econ, 10.0)
+    with pytest.raises(ValueError, match=r"sample times outside \[0, horizon\]"):
+        traj.states_at(np.array([0.5, bad, 1.0]))
+    with pytest.raises(ValueError):
+        traj.state_at(bad)
+
+
 def test_chatter_at_the_threshold_stops_at_the_segment_cap(monkeypatch):
     # A's export equilibrium 1 + 0.25/1e308 rounds to the threshold, so the
     # closed form flips regime about every 6e-11 time units

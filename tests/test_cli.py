@@ -2,6 +2,8 @@ import errno
 import hashlib
 import os
 import random
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -332,6 +334,38 @@ def test_sample_times_match_the_scalar_rule():
         expected = np.unique(np.array(grid + [t for t in extra if 0.0 <= t <= horizon]))
         got = cli._sample_times(horizon, step, extra)
         assert got.tobytes() == expected.tobytes()
+
+
+def test_sample_times_match_np_unique_on_grid_nodes_and_the_horizon():
+    # event times equal to grid nodes, to the horizon and past it, plus
+    # repeats: the same bytes as np.unique over the kept times
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        horizon = rng.uniform(0.01, 50.0)
+        step = horizon / rng.uniform(1.0, 500.0)
+        grid = np.arange(int(horizon / step) + 1) * step
+        pool = np.concatenate([grid, [horizon, horizon, np.nextafter(horizon, np.inf),
+                                      horizon + step, -step],
+                               rng.uniform(-1.0, horizon + 1.0, 4)])
+        extra = rng.choice(pool, size=rng.integers(0, 8)).tolist()
+        kept = [t for t in extra if 0.0 <= t <= horizon]
+        expected = np.unique(np.concatenate([grid[grid <= horizon], [horizon], kept]))
+        assert cli._sample_times(horizon, step, extra).tobytes() == expected.tobytes()
+
+
+def test_simulate_analytic_does_not_import_numpy_ma(tmp_path):
+    code = (
+        "import sys\n"
+        "from tradeflow.cli import main\n"
+        f"code = main(['simulate', {str(SCENARIO_DIR / 'crossing.scenario')!r}, '--analytic',"
+        f" '--out', {str(tmp_path / 'out.csv')!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_analytic_series_regimes_match_regime_at():

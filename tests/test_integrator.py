@@ -380,3 +380,150 @@ def test_money_never_feeds_back_into_stocks_times_or_events():
         for name in ("times", "eta_a", "eta_b"):
             assert getattr(bare, name).tobytes() == getattr(priced, name).tobytes()
         assert repr(bare.events) == repr(priced.events)
+
+
+def _production(rng, c):
+    """A production rate for consumption c: equal to it (net exactly 0.0),
+    above it or below it, one draw in three each."""
+    kind, u = rng.integers(0, 3), rng.uniform(0.0, 1.0)
+    return c if kind == 0 else c + u if kind == 1 else c * u
+
+
+def _flow_free_draws(n=600, seed=12):
+    """Seeded integrations that spend most of their steps with both stocks at
+    or below the threshold: starts in [-0.05, 1] (some exactly at 1), nets of
+    each sign and exactly zero, horizons off the step grid, every depletion
+    policy, with and without prices and money0."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        c_a, c_b = rng.uniform(0.0, 2.0, size=2)
+        econ = GoodEconomy(_production(rng, c_a), _production(rng, c_b), c_a, c_b,
+                           rng.uniform(0.0, 4.0))
+        ea, eb = rng.uniform(-0.05, 1.0, size=2)
+        s0 = NormalizedState(1.0 if i % 5 == 0 else ea, 1.0 if i % 7 == 0 else eb)
+        prices = PriceSet(*rng.uniform(0.0, 3.0, size=3))
+        money0 = MoneyState(*rng.uniform(-2.0, 2.0, size=2))
+        opts = _opts(horizon=rng.uniform(0.5, 3.0), step=1e-2,
+                     depletion_policy=_POLICIES[i % 3])
+        yield (s0, econ, opts, prices if i % 2 else None,
+               money0 if (i // 6) % 2 else None)
+
+
+# sha256 of _series_digest over _flow_free_draws(), taken before flow-free
+# steps were shortcut: the shortcut must not move a bit
+PINNED_FLOW_FREE_DIGEST = "a5520810e915a184f83a7302a537a9563eb552fe45f696eea46b1b2dcff66338"
+
+
+def test_flow_free_stretches_match_pinned_digest():
+    series_list = [integrate_with_events(*draw) for draw in _flow_free_draws()]
+    steps = sum(len(s) - 1 for s in series_list)
+    flow_free = sum(int(((np.maximum(s.eta_a, s.eta_b) <= 1.0)[:-1]
+                         & (np.maximum(s.eta_a, s.eta_b) <= 1.0)[1:]).sum())
+                    for s in series_list)
+    assert flow_free >= 0.6 * steps
+    assert {e.kind for s in series_list for e in s.events} == {"crossing", "depletion", "clamp"}
+    assert _series_digest(series_list) == PINNED_FLOW_FREE_DIGEST
+
+
+def _stepped(s0, econ, opts):
+    """Times and stocks of repeated ``rk4_step`` over the step grid: negatives
+    set to zero under clamp_to_zero, and under halt no step that ends below
+    zero. For a run that never crosses the threshold these are the
+    integrator's samples (under halt, those before the depletion event)."""
+    halt = opts.depletion_policy is DepletionPolicy.HALT
+    clamp = opts.depletion_policy is DepletionPolicy.CLAMP_TO_ZERO
+    t, s = 0.0, s0
+    rows = [(t, s.eta_a, s.eta_b)]
+    while t < opts.horizon and not (halt and min(s.eta_a, s.eta_b) < 0.0):
+        h = min(opts.step, opts.horizon - t)
+        s = rk4_step(s, econ, h)
+        if halt and min(s.eta_a, s.eta_b) < 0.0:
+            break
+        if clamp:
+            s = NormalizedState(s.eta_a if s.eta_a >= 0.0 else 0.0,
+                                s.eta_b if s.eta_b >= 0.0 else 0.0)
+        t += h
+        rows.append((t, s.eta_a, s.eta_b))
+    return [np.array(col) for col in zip(*rows)]
+
+
+def _assert_stepped(s0, econ, opts):
+    series = integrate_with_events(s0, econ, opts)
+    ref = _stepped(s0, econ, opts)
+    n = len(ref[0])
+    bisected = [e for e in series.events if e.detail == "reached zero"]
+    assert len(series) == n + len(bisected)
+    for got, want in zip((series.times, series.eta_a, series.eta_b), ref):
+        assert got[:n].tobytes() == want.tobytes()
+    return series
+
+
+@pytest.mark.parametrize("policy", _POLICIES)
+@pytest.mark.parametrize("s0, rates", [
+    ((1.0, 0.6), (1.0, 0.5, 1.0, 0.8)),   # A held exactly at 1.0 by a zero net
+    ((1.0, 0.3), (0.8, 1.0, 1.0, 1.0)),   # A leaves 1.0 downward, B's net is zero
+    ((0.7, 0.3), (0.5, 0.2, 0.9, 0.7)),   # B reaches zero at t = 0.6
+    ((0.2, 0.0), (0.5, 0.0, 0.5, 0.3)),   # B starts at zero and drains
+])
+def test_flow_free_stretch_equals_repeated_rk4_step(policy, s0, rates):
+    p_a, p_b, c_a, c_b = rates
+    econ = GoodEconomy(p_a, p_b, c_a, c_b, 2.0)
+    series = _assert_stepped(NormalizedState(*s0), econ,
+                             _opts(horizon=1.005, step=1e-2, depletion_policy=policy))
+    assert not any(e.kind == "crossing" for e in series.events)
+    if policy is DepletionPolicy.CLAMP_TO_ZERO:
+        assert series.eta_b.min() >= 0.0
+    if s0 == (0.7, 0.3) and policy is not DepletionPolicy.CONTINUE:
+        assert series.events[-1].kind == ("clamp" if policy is DepletionPolicy.CLAMP_TO_ZERO
+                                          else "depletion")
+
+
+def test_flow_free_draws_below_the_threshold_equal_repeated_rk4_step():
+    # nonpositive nets from starts at or below 1: no stage point ever flows
+    rng = np.random.default_rng(13)
+    for i in range(150):
+        c_a, c_b = rng.uniform(0.0, 2.0, size=2)
+        econ = GoodEconomy(c_a * rng.uniform(0.0, 1.0) if i % 4 else c_a,
+                           c_b * rng.uniform(0.0, 1.0), c_a, c_b, rng.uniform(0.0, 4.0))
+        s0 = NormalizedState(*rng.uniform(-0.05, 1.0, size=2))
+        _assert_stepped(s0, econ, _opts(horizon=rng.uniform(0.5, 3.0), step=1e-2,
+                                        depletion_policy=_POLICIES[i % 3]))
+
+
+def _edge_step(stage_above: bool):
+    """A step from (ea, 0.25) of length 0.1 with net na > 0 whose last stage
+    point ea + step*na and flow-free end ea + d fall on opposite sides of 1,
+    found by a seeded search: the stage point above 1 if ``stage_above``."""
+    rng = np.random.default_rng(14)
+    step = 0.1
+    for _ in range(100_000):
+        na = rng.uniform(0.1, 2.0)
+        ea = 1.0 - step * na + rng.integers(-3, 4) * 2.0**-53
+        end = ea + step / 6.0 * (na + 2.0 * (na + na) + na)
+        if (ea + step * na > 1.0) == stage_above and (end > 1.0) != stage_above:
+            return ea, na, step, end
+    pytest.fail("no step with its stage point and its end across 1 was found")
+
+
+def test_flow_free_shortcut_tests_the_stage_point_not_the_step_end():
+    # the last stage point lands just above 1 and flows, so the kernel's step
+    # is not the flow-free increment even though that increment ends below 1
+    ea, na, step, end = _edge_step(stage_above=True)
+    econ = GoodEconomy(na, 0.5, 0.0, 0.5, 1e3)  # B's net is exactly zero
+    series = integrate_with_events(NormalizedState(ea, 0.25), econ,
+                                   _opts(horizon=step, step=step))
+    kernel = rk4_step(NormalizedState(ea, 0.25), econ, step)
+    assert kernel != NormalizedState(end, 0.25)
+    assert series.events == []
+    assert series.state(1) == kernel
+
+
+def test_flow_free_shortcut_tests_the_step_end_too():
+    # every stage point sits at or below 1 but the step ends just above it:
+    # a threshold crossing, which the shortcut must leave to the bisection
+    ea, na, step, end = _edge_step(stage_above=False)
+    econ = GoodEconomy(na, 0.5, 0.0, 0.5, 1e3)
+    assert rk4_step(NormalizedState(ea, 0.25), econ, step) == NormalizedState(end, 0.25)
+    series = integrate_with_events(NormalizedState(ea, 0.25), econ,
+                                   _opts(horizon=step, step=step))
+    assert [(e.kind, e.stock) for e in series.events] == [("crossing", "eta_a")]
