@@ -6,9 +6,9 @@ localized inside a step by bisection on single partial steps, recorded as
 typed :class:`~tradeflow.core.Event` records (kind ``crossing`` or
 ``depletion``; ``clamp`` under the clamp-to-zero policy), and integration
 restarts from the crossing. Only the halt policy emits ``depletion``, and
-that event ends the series. Flow-free stretches, full steps on which both
-stocks and every stage point sit at or below the threshold, are stepped as
-the exact increment the kernel would return there, without running it.
+that event ends the series. A flow-free step, a full step on which every
+stage point sits at or below the threshold, takes the exact increment the
+kernel would return there without running it.
 
 Money extends the fixed-point money rates to arbitrary states: each country
 spends its production cost per unit produced and earns the market price on
@@ -254,13 +254,12 @@ def integrate_with_events(
     clamp = policy is DepletionPolicy.CLAMP_TO_ZERO
     ts_app, eas_app, ebs_app, hs_app = ts.append, eas.append, ebs.append, hs.append
 
-    # A full step from stocks whose every stage point sits at or below 1 has
-    # four stage flows sig*(0.0 - 0.0), so each stage slope is k and the
-    # kernel returns e + d. The stage points e + (0.5*step)*k and e + step*k
-    # are monotone in the step, so `e + reach <= 1.0` (reach = step*k when
-    # k > 0, else 0) covers all of them. The step end must also stay on the
-    # guard sides the general loop would keep: at most 1, and not below
-    # `floor` (0 under halt and clamp_to_zero, where a negative end is an event).
+    # Flow-free shortcut: on a full step whose every stage point sits at or
+    # below 1, all four stage flows are sig*(0.0 - 0.0), so each stage slope
+    # is k and the kernel returns exactly e + d. The stage points
+    # e + (0.5*step)*k and e + step*k are monotone in the step, so
+    # `e + reach <= 1.0` (reach = step*k when k > 0, else 0) covers them all.
+    # The step end then meets the same guard checks as a kernel step's.
     sf0 = econ.sigma * (0.0 - 0.0)
     ka = (econ.p_a - econ.c_a) - sf0
     kb = (econ.p_b - econ.c_b) + sf0
@@ -268,29 +267,19 @@ def integrate_with_events(
     db = step / 6.0 * (kb + 2.0 * (kb + kb) + kb)
     reach_a = step * ka if ka > 0.0 else 0.0
     reach_b = step * kb if kb > 0.0 else 0.0
-    floor = 0.0 if halt or clamp else -math.inf
 
     t = 0.0
     while t < horizon:
-        # Flow-free stretch: exact increments instead of the kernel.
-        while horizon - t >= step and ea + reach_a <= 1.0 and eb + reach_b <= 1.0:
-            e1a = ea + da
-            e1b = eb + db
-            t_new = t + step
-            if not (floor <= e1a <= 1.0 and floor <= e1b <= 1.0 and t_new > t):
-                break
-            ea, eb, t = e1a, e1b, t_new
-            ts_app(t)
-            eas_app(ea)
-            ebs_app(eb)
-            hs_app(step)
-        if t >= horizon:
-            break
-
         h_step = horizon - t
-        if h_step > step:
+        if h_step < step:
+            e1a, e1b = rk4(ea, eb, h_step)
+        else:
             h_step = step
-        e1a, e1b = rk4(ea, eb, h_step)
+            if ea + reach_a <= 1.0 and eb + reach_b <= 1.0:
+                e1a = ea + da
+                e1b = eb + db
+            else:
+                e1a, e1b = rk4(ea, eb, step)
 
         # Fast path: no guard changed side inside this step.
         if (

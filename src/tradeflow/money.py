@@ -172,12 +172,12 @@ def trade_balances(
 
 
 def _rates_at_k(
-    s: TwoGoodScenario, k: float
+    s: TwoGoodScenario, m: MarginCoefficients, k: float
 ) -> tuple[float, float, float, float, float, float]:
     """Money rates and productions as functions of k = sigma1*(eta_a1 - 1),
-    with sigma2 eliminated through the balanced-trade relation. ``k`` may
-    also be a numpy array, evaluated elementwise with the same rounding."""
-    m = margins(s)
+    with sigma2 eliminated through the balanced-trade relation. ``m`` is
+    ``margins(s)``, computed (and ``s`` validated) once by the caller. ``k``
+    may also be a numpy array, evaluated elementwise with the same rounding."""
     k2 = k * (s.prices1.y / s.prices2.y)  # = sigma2*(eta_b2 - 1) under balance
     p_a1 = s.good1.c_a + k
     p_a2 = s.good2.c_a - k2
@@ -206,8 +206,8 @@ def two_good_money_rates(
     Negative implied productions are reported, not masked; they mark the
     parameter region where the fixed point itself is infeasible.
     """
-    _require_valid(s)
-    dm_a, dm_b, p_a1, p_a2, p_b1, p_b2 = _rates_at_k(s, _k_of(s, sigma1, eta_a1))
+    m = margins(s)
+    dm_a, dm_b, p_a1, p_a2, p_b1, p_b2 = _rates_at_k(s, m, _k_of(s, sigma1, eta_a1))
     return dm_a, dm_b, (p_a1, p_a2, p_b1, p_b2)
 
 
@@ -215,8 +215,7 @@ def feasibility_at_k(s: TwoGoodScenario, k: float) -> FeasibilityResult:
     """Evaluate the four feasibility conditions at a given transfer intensity
     k = sigma1*(eta_a1 - 1). Boundary values (rates exactly zero) count as
     feasible."""
-    _require_valid(s)
-    dm_a, dm_b, p_a1, p_a2, p_b1, p_b2 = _rates_at_k(s, k)
+    dm_a, dm_b, p_a1, p_a2, p_b1, p_b2 = _rates_at_k(s, margins(s), k)
     return FeasibilityResult(
         money_a_ok=dm_a >= 0.0,
         money_b_ok=dm_b >= 0.0,

@@ -26,7 +26,7 @@ from .exchange import bisect
 
 # feasibility_check is the per-node reference the scan reproduces; it stays
 # importable from here because perfbench counts calls to it through this module.
-from .money import _rates_at_k, feasibility_check
+from .money import _rates_at_k, feasibility_check, margins
 
 __all__ = ["GridSpec", "RegionScan", "KInterval", "scan_region", "feasible_k_interval"]
 
@@ -143,7 +143,7 @@ def scan_region(s: TwoGoodScenario, grid: GridSpec) -> RegionScan:
     eta = np.array(grid.eta_values())
     with np.errstate(over="ignore", invalid="ignore"):
         k = sig[None, :] * (eta[:, None] - 1.0)
-        dm_a, dm_b, _, p_a2, p_b1, _ = _rates_at_k(s, k)  # validates s once
+        dm_a, dm_b, _, p_a2, p_b1, _ = _rates_at_k(s, margins(s), k)
     finite = np.isfinite(k) & np.isfinite(dm_a) & np.isfinite(dm_b)
     finite &= np.isfinite(p_a2) & np.isfinite(p_b1)
     if not finite.all():
@@ -182,13 +182,14 @@ def feasible_k_interval(s: TwoGoodScenario) -> KInterval:
     bounds. Endpoints are exact at float resolution with respect to the
     scanner's arithmetic.
     """
+    m = margins(s)
     lo = max(
-        _switch(lambda k: _rates_at_k(s, k)[0] >= 0.0)[1],  # country A money rate
-        _switch(lambda k: _rates_at_k(s, k)[1] >= 0.0)[1],  # country B money rate
+        _switch(lambda k: _rates_at_k(s, m, k)[0] >= 0.0)[1],  # country A money rate
+        _switch(lambda k: _rates_at_k(s, m, k)[1] >= 0.0)[1],  # country B money rate
         0.0,
     )
     hi = min(
-        _switch(lambda k: not _rates_at_k(s, k)[3] >= 0.0)[0],  # A's production of good 2
-        _switch(lambda k: not _rates_at_k(s, k)[4] >= 0.0)[0],  # B's production of good 1
+        _switch(lambda k: not _rates_at_k(s, m, k)[3] >= 0.0)[0],  # A's production of good 2
+        _switch(lambda k: not _rates_at_k(s, m, k)[4] >= 0.0)[0],  # B's production of good 1
     )
     return KInterval(lo, hi)

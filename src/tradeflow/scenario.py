@@ -223,14 +223,14 @@ def _parse_good(cp, section, exporter, required, default_eta, problems):
             f"[{section}]: give either productions (p_a, p_b) or eta_star, not both"
         )
         return None, None
-    if c_a is None or c_b is None or sigma is None:
-        return None, None
 
     if gives_p:
         p_a = r.get_float("p_a", required=True)
         p_b = r.get_float("p_b", required=True)
-        if p_a is None or p_b is None:
+        if None in (c_a, c_b, sigma, p_a, p_b):
             return None, None
+    elif c_a is None or c_b is None or sigma is None:
+        return None, None
     else:
         if eta_star is None:
             if not default_eta:

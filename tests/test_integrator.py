@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from tradeflow import integrator
 from tradeflow.analytic import solve_a_exports
 from tradeflow.core import Event, GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
 from tradeflow.exchange import rhs
@@ -423,6 +424,24 @@ def test_flow_free_stretches_match_pinned_digest():
     assert flow_free >= 0.6 * steps
     assert {e.kind for s in series_list for e in s.events} == {"crossing", "depletion", "clamp"}
     assert _series_digest(series_list) == PINNED_FLOW_FREE_DIGEST
+
+
+@pytest.mark.parametrize("policy", _POLICIES)
+def test_flow_free_steps_skip_the_kernel(monkeypatch, policy):
+    calls = []
+    make_rk4 = integrator._make_rk4
+
+    def counting(econ):
+        rk4 = make_rk4(econ)
+        return lambda ea, eb, h: calls.append(h) or rk4(ea, eb, h)
+
+    monkeypatch.setattr(integrator, "_make_rk4", counting)
+    econ = GoodEconomy(1.1, 0.5, 1.0, 0.8, 2.0)  # stocks stay below 1 throughout
+    series = integrate_with_events(NormalizedState(0.2, 0.5), econ,
+                                   _opts(horizon=1.0, step=1e-2, depletion_policy=policy))
+    assert len(series) == 101 and series.events == []
+    # at most the last step, which float rounding of t shortens below the step
+    assert len(calls) <= 1 and all(h < 1e-2 for h in calls)
 
 
 def _stepped(s0, econ, opts):

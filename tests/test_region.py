@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from tradeflow import money
 from tradeflow.core import GoodEconomy, PriceSet, TwoGoodScenario
-from tradeflow.money import feasibility_check
+from tradeflow.money import feasibility_at_k, feasibility_check, two_good_money_rates
 from tradeflow.region import GridSpec, feasible_k_interval, scan_region
 
 from test_money import fig_scenario, random_valid_scenario
@@ -142,3 +143,30 @@ def test_feasible_set_is_contiguous_along_rows():
         idx = np.flatnonzero(row)
         if len(idx):
             assert np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
+
+
+# The public calls that validate a two-good scenario, each as a function of it.
+_PUBLIC_CALLS = {
+    "scan_region": lambda s: scan_region(s, small_grid()),
+    "feasible_k_interval": feasible_k_interval,
+    "two_good_money_rates": lambda s: two_good_money_rates(s, 1.0),
+    "feasibility_at_k": lambda s: feasibility_at_k(s, 1.0),
+    "feasibility_check": lambda s: feasibility_check(s, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", _PUBLIC_CALLS)
+def test_each_public_call_validates_the_scenario_once(monkeypatch, name):
+    seen = []
+    validate = money.validate_scenario
+    monkeypatch.setattr(money, "validate_scenario", lambda s: seen.append(s) or validate(s))
+    s = fig_scenario()
+    _PUBLIC_CALLS[name](s)
+    assert seen == [s]
+
+
+@pytest.mark.parametrize("name", _PUBLIC_CALLS)
+def test_each_public_call_rejects_an_invalid_scenario(name):
+    with pytest.raises(ValueError) as err:
+        _PUBLIC_CALLS[name](fig_scenario(eta_a1=1.0))
+    assert str(err.value) == "invalid scenario: eta_a1 must be > 1 (above threshold), got 1.0"

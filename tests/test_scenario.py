@@ -146,6 +146,16 @@ def test_non_numeric_values_are_located():
         parse_scenario_text(ONE_GOOD.replace("sigma = 1", "sigma = fast"))
 
 
+def test_bad_productions_are_reported_alongside_a_missing_consumption():
+    text = ONE_GOOD.replace("c_a = 1\n", "").replace("p_a = 1.25", "p_a = x")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert err.value.problems == [
+        "[good1]: missing required key 'c_a'",
+        "[good1].p_a: not a number: 'x'",
+    ]
+
+
 @pytest.mark.parametrize("section", ["good1", "good2"])
 def test_eta_star_beyond_the_importers_consumption(section):
     if section == "good1":  # A exports good 1: outflow 2 exceeds c_b = 1
