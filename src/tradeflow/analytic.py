@@ -232,12 +232,12 @@ class PiecewiseTrajectory:
         sorted times, bounded by the rule of :meth:`segment_at`: a time equal
         to a segment start belongs to that later segment."""
         times = np.asarray(times, dtype=float)
-        if times.size and not (times.min() >= 0.0 and times.max() <= self.horizon):
-            raise ValueError("sample times outside [0, horizon]")  # NaN included
         order = None
-        if not (times[1:] >= times[:-1]).all():
+        if not (times[1:] >= times[:-1]).all():  # a NaN anywhere fails it and sorts last
             order = np.argsort(times, kind="stable")
             times = times[order]
+        if times.size and not (times[0] >= 0.0 and times[-1] <= self.horizon):
+            raise ValueError("sample times outside [0, horizon]")  # NaN included
         bounds = np.searchsorted(times, [seg.t_start for seg in self.segments]).tolist()
         bounds[0] = 0
         bounds.append(times.size)

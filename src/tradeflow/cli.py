@@ -205,7 +205,8 @@ def _analytic_series(
     events = traj.events
     times = _sample_times(traj.horizon, step, [e.t for e in events])
     states = traj.states_at(times)
-    regimes = [traj.segments[i].regime for i in traj.segment_indices(times).tolist()]
+    seg_regimes = np.array([seg.regime for seg in traj.segments], dtype=object)
+    regimes = seg_regimes[traj.segment_indices(times)].tolist()
     if prices is not None:
         m_a, m_b = _money_along(traj, econ, prices, money0, times, states)
     else:

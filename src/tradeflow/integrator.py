@@ -109,7 +109,7 @@ class TimeSeries:
             raise ValueError("money arrays must both be present or both absent")
         if self.m_a is not None and (len(self.m_a) != n or len(self.m_b) != n):
             raise ValueError("money arrays must match the sample count")
-        if n > 1 and not np.all(np.diff(self.times) > 0.0):
+        if n > 1 and not (self.times[1:] > self.times[:-1]).all():
             raise ValueError("sample times must be strictly increasing")
 
     def __len__(self) -> int:
@@ -230,13 +230,14 @@ def integrate_with_events(
     events: list[Event] = []
 
     def build() -> TimeSeries:
-        times = np.array(ts)
-        ea_arr = np.array(eas)
-        eb_arr = np.array(ebs)
-        h = np.array(hs)
+        # Typed conversions skip numpy's type discovery; h has no reader but
+        # the money pass, so it becomes an array only when there is money.
+        times = np.array(ts, dtype=np.float64)
+        ea_arr = np.array(eas, dtype=np.float64)
+        eb_arr = np.array(ebs, dtype=np.float64)
+        h = np.array(hs, dtype=np.float64) if prices is not None else None
         del ts[:], eas[:], ebs[:], hs[:]  # free them before the money pass (peak memory)
-        codes = (ea_arr > 1.0).astype(np.int8) + 2 * (eb_arr > 1.0).astype(np.int8)
-        regimes = list(_REGIME_LUT[codes])
+        regimes = _REGIME_LUT[(ea_arr > 1.0) + 2 * (eb_arr > 1.0)].tolist()
         m_a = m_b = None
         if prices is not None:
             with np.errstate(over="ignore", invalid="ignore"):

@@ -222,15 +222,13 @@ def _parse_good(cp, section, exporter, required, default_eta, problems):
         problems.append(
             f"[{section}]: give either productions (p_a, p_b) or eta_star, not both"
         )
-        return None, None
 
+    # A conflict does not return early: p_a and p_b are still read and checked.
     if gives_p:
         p_a = r.get_float("p_a", required=True)
         p_b = r.get_float("p_b", required=True)
-        if None in (c_a, c_b, sigma, p_a, p_b):
+        if eta_star is not None or None in (c_a, c_b, sigma, p_a, p_b):
             return None, None
-    elif c_a is None or c_b is None or sigma is None:
-        return None, None
     else:
         if eta_star is None:
             if not default_eta:
@@ -239,6 +237,8 @@ def _parse_good(cp, section, exporter, required, default_eta, problems):
                 )
                 return None, None
             eta_star = _DEFAULT_ETA_STAR
+        if c_a is None or c_b is None or sigma is None:
+            return None, None
         c_exp, c_imp = (c_a, c_b) if exporter == "a" else (c_b, c_a)
         try:
             p_exp, p_imp = fixed_point_production(eta_star, c_exp, c_imp, sigma)

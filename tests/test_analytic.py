@@ -276,6 +276,25 @@ def test_states_at_rejects_times_outside_the_horizon(bad):
         traj.state_at(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, 10.5])
+@pytest.mark.parametrize("layout", [
+    "X", "X 0.5 1.0", "0.5 X 1.0", "0.5 1.0 X", "X 1.0 0.5", "1.0 X 0.5", "1.0 0.5 X",
+])
+def test_states_at_rejects_a_bad_time_wherever_it_sits(bad, layout):
+    # alone, first, middle and last, among sorted and unsorted valid times
+    econ = GoodEconomy(p_a=1.25, p_b=1.0, c_a=1.0, c_b=1.0, sigma=1.0)
+    traj = simulate_analytic(NormalizedState(0.5, 0.5), econ, 10.0)
+    times = np.array([bad if word == "X" else float(word) for word in layout.split()])
+    with pytest.raises(ValueError, match=r"sample times outside \[0, horizon\]"):
+        traj.states_at(times)
+
+
+def test_states_at_of_no_times_is_empty():
+    econ = GoodEconomy(p_a=1.25, p_b=1.0, c_a=1.0, c_b=1.0, sigma=1.0)
+    traj = simulate_analytic(NormalizedState(0.5, 0.5), econ, 10.0)
+    assert traj.states_at(np.array([])).shape == (0, 2)
+
+
 def test_chatter_at_the_threshold_stops_at_the_segment_cap(monkeypatch):
     # A's export equilibrium 1 + 0.25/1e308 rounds to the threshold, so the
     # closed form flips regime about every 6e-11 time units

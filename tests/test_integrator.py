@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from tradeflow import integrator
 from tradeflow.analytic import solve_a_exports
 from tradeflow.core import Event, GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
-from tradeflow.exchange import rhs
+from tradeflow.exchange import regime_from_sides, rhs
 from tradeflow.integrator import (
     DepletionPolicy,
     SolverOptions,
@@ -25,6 +25,7 @@ def _opts(**kw):
 
 
 # ------------------------------------------------------------- kernel
+
 
 def test_rk4_kernel_matches_manual_stages_built_from_rhs():
     # the inlined stage arithmetic must be indistinguishable from stepping
@@ -79,6 +80,7 @@ def test_rk4_local_error_scales_like_fifth_order():
 
 
 # ------------------------------------------------------------- integration
+
 
 def test_integration_exact_on_decoupled_linear_flow():
     econ = GoodEconomy(p_a=1.1, p_b=0.3, c_a=1.0, c_b=0.5, sigma=0.0)
@@ -223,6 +225,7 @@ def test_solver_options_validation():
 
 # ------------------------------------------------------------- depletion
 
+
 def _draining_econ():
     # B consumes with no production or inflow: eta_b hits zero at t = 2.5
     return GoodEconomy(p_a=1.0, p_b=0.0, c_a=1.0, c_b=0.2, sigma=0.0)
@@ -266,6 +269,7 @@ def test_negative_initial_stock_halts_immediately():
 
 # ------------------------------------------------------------- money
 
+
 def test_money_rates_at_the_stop_production_point():
     # sigma*(eta_a - 1) = c_b exactly, so B produces nothing and only breaks
     # even while A earns its margin on everything consumed
@@ -298,6 +302,7 @@ def test_money_absent_without_prices():
 
 # ------------------------------------------------------------- TimeSeries
 
+
 def test_timeseries_validates_parallel_arrays():
     with pytest.raises(ValueError):
         TimeSeries(
@@ -317,6 +322,29 @@ def test_timeseries_validates_parallel_arrays():
             m_a=None,
             m_b=None,
         )
+
+
+def _series_at(times):
+    n = len(times)
+    return TimeSeries(times=np.array(times), eta_a=np.ones(n), eta_b=np.ones(n),
+                      regimes=[Regime.NO_EXCHANGE] * n, m_a=None, m_b=None)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, math.nan, 1.0], [math.nan, 1.0], [0.0, 1.0, math.nan],
+    [0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [math.inf, math.inf], [-math.inf, -math.inf],
+])
+def test_timeseries_rejects_times_that_do_not_increase(times):
+    # errstate: the rule is pinned, not whether a check computes inf - inf on the way
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="strictly increasing"):
+        _series_at(times)
+
+
+@pytest.mark.parametrize("times", [
+    [], [0.0], [0.0, 5e-324, 1.0], [-math.inf, 0.0, math.inf],
+])
+def test_timeseries_accepts_strictly_increasing_times(times):
+    assert len(_series_at(times)) == len(times)
 
 
 def test_timeseries_regimes_follow_the_samples():
@@ -370,6 +398,17 @@ def test_integrator_bytes_match_pinned_digest():
     assert sum(e.kind == "crossing" for s in series_list for e in s.events) >= 400
     assert {e.kind for s in series_list for e in s.events} == {"crossing", "depletion", "clamp"}
     assert _series_digest(series_list) == PINNED_SERIES_DIGEST
+
+
+def test_series_columns_are_float_arrays_and_regimes_follow_the_stocks():
+    # the regime column is not in PINNED_SERIES_DIGEST; pin it and the array layout here
+    for draw in _pinned_draws():
+        s = integrate_with_events(*draw)
+        for arr in (s.times, s.eta_a, s.eta_b):
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous
+        assert len(s.regimes) == len(s)
+        for regime, ea, eb in zip(s.regimes, s.eta_a.tolist(), s.eta_b.tolist()):
+            assert regime is regime_from_sides(ea > 1.0, eb > 1.0)
 
 
 def test_money_never_feeds_back_into_stocks_times_or_events():

@@ -156,6 +156,28 @@ def test_bad_productions_are_reported_alongside_a_missing_consumption():
     ]
 
 
+@pytest.mark.parametrize("body, problems", [
+    ("sigma = 1\n", [
+        "[good1]: missing required key 'c_a'",
+        "[good1]: missing required key 'c_b'",
+        "[good1]: provide productions (p_a, p_b) or a fixed-point eta_star",
+    ]),
+    ("p_a = x\np_b = 1\nc_a = 1\nc_b = 1\neta_star = 1.5\n", [
+        "[good1]: give either productions (p_a, p_b) or eta_star, not both",
+        "[good1].p_a: not a number: 'x'",
+    ]),
+    ("p_a = x\np_b = 1\nc_a = 1\nc_b = 1\neta_star = y\n", [
+        "[good1].eta_star: not a number: 'y'",
+        "[good1].p_a: not a number: 'x'",
+    ]),
+])
+def test_every_problem_of_a_good_is_reported_in_key_order(body, problems):
+    text = ONE_GOOD.replace("p_a = 1.25\np_b = 1\nc_a = 1\nc_b = 1\nsigma = 1\n", body)
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert err.value.problems == problems
+
+
 @pytest.mark.parametrize("section", ["good1", "good2"])
 def test_eta_star_beyond_the_importers_consumption(section):
     if section == "good1":  # A exports good 1: outflow 2 exceeds c_b = 1
