@@ -21,7 +21,7 @@ from .core import (
     TwoGoodScenario,
     validate_scenario,
 )
-from .exchange import classify_regime, exchange_flow, rhs
+from .exchange import exchange_flow, rhs
 from .integrator import (
     DepletionPolicy,
     SolverOptions,
@@ -33,20 +33,13 @@ from .money import (
     FeasibilityResult,
     MarginCoefficients,
     balanced_sigma2,
-    feasibility_at_k,
     feasibility_check,
+    fixed_point_production,
     margins,
     one_good_money_rates,
     trade_balances,
-    two_good_money_rates,
 )
 from .region import GridSpec, KInterval, RegionScan, feasible_k_interval, scan_region
 from .scenario import Scenario, ScenarioError, parse_scenario, serialize_scenario
-from .steady import (
-    RegimeEquilibrium,
-    fixed_point_production,
-    is_steady_state,
-    regime_equilibria,
-)
 
 __version__ = "0.1.0"

@@ -197,10 +197,6 @@ class PiecewiseTrajectory:
             raise ValueError("trajectory needs at least one segment")
 
     @property
-    def end_state(self) -> NormalizedState:
-        return self.segments[-1].state_end
-
-    @property
     def events(self) -> list[Event]:
         """One ``switch`` event per regime change, at the later segment's start."""
         return [Event(seg.t_start, "switch", None, seg.regime) for seg in self.segments[1:]]
@@ -232,6 +228,8 @@ class PiecewiseTrajectory:
         sorted times, bounded by the rule of :meth:`segment_at`: a time equal
         to a segment start belongs to that later segment."""
         times = np.asarray(times, dtype=float)
+        if times.ndim != 1:
+            raise ValueError("sample times must be a one-dimensional array")
         order = None
         if not (times[1:] >= times[:-1]).all():  # a NaN anywhere fails it and sorts last
             order = np.argsort(times, kind="stable")

@@ -21,10 +21,9 @@ from .analytic import PiecewiseTrajectory, simulate_analytic
 from .core import GoodEconomy, MoneyState, PriceSet
 from .exchange import flow_array
 from .integrator import TimeSeries, integrate_with_events
-from .money import money_holdings, one_good_money_rates
+from .money import fixed_point_production, money_holdings, one_good_money_rates
 from .region import feasible_k_interval, scan_region
 from .scenario import Scenario, ScenarioError, parse_scenario
-from .steady import fixed_point_production
 
 EXIT_OK = 0
 EXIT_INPUT = 1

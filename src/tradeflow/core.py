@@ -1,8 +1,7 @@
 """Domain types shared across the package.
 
 All quantities are stored normalized: stock levels in units of the exchange
-threshold (so trade activates above 1.0) and rates per unit time. Raw inputs
-can be converted at ingestion with the ``from_raw`` constructors.
+threshold (so trade activates above 1.0) and rates per unit time.
 """
 
 from __future__ import annotations
@@ -59,13 +58,6 @@ class NormalizedState:
         _require_finite("eta_a", self.eta_a)
         _require_finite("eta_b", self.eta_b)
 
-    @classmethod
-    def from_raw(cls, h_a: float, h_b: float, h0: float) -> "NormalizedState":
-        """Normalize raw stock levels by the activation threshold h0."""
-        if not (h0 > 0.0) or not math.isfinite(h0):
-            raise ValueError(f"h0 must be a positive finite number, got {h0!r}")
-        return cls(h_a / h0, h_b / h0)
-
     def swapped(self) -> "NormalizedState":
         return NormalizedState(self.eta_b, self.eta_a)
 
@@ -88,15 +80,6 @@ class GoodEconomy:
         _require_nonnegative("c_a", self.c_a)
         _require_nonnegative("c_b", self.c_b)
         _require_nonnegative("sigma", self.sigma)
-
-    @classmethod
-    def from_raw(
-        cls, p_a: float, p_b: float, c_a: float, c_b: float, sigma: float, h0: float
-    ) -> "GoodEconomy":
-        """Normalize raw rates by the activation threshold h0."""
-        if not (h0 > 0.0) or not math.isfinite(h0):
-            raise ValueError(f"h0 must be a positive finite number, got {h0!r}")
-        return cls(p_a / h0, p_b / h0, c_a / h0, c_b / h0, sigma / h0)
 
     @property
     def net_a(self) -> float:
@@ -167,15 +150,6 @@ class PriceSet:
         _require_nonnegative("x_a", self.x_a)
         _require_nonnegative("x_b", self.x_b)
         _require_nonnegative("y", self.y)
-
-    def advantage(self) -> str | None:
-        """'a' if A produces below the market price and B above, 'b' for the
-        mirrored ordering, None if neither strict ordering holds."""
-        if self.x_a < self.y < self.x_b:
-            return "a"
-        if self.x_b < self.y < self.x_a:
-            return "b"
-        return None
 
 
 @dataclass(frozen=True)

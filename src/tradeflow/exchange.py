@@ -16,8 +16,8 @@ import numpy as np
 
 from .core import GoodEconomy, NormalizedState, Regime
 
-__all__ = ["GUARD_STATE_TOL", "bisect", "exchange_flow", "flow_array", "classify_regime",
-           "regime_from_sides", "rhs"]
+__all__ = ["GUARD_STATE_TOL", "bisect", "exchange_flow", "flow_array", "regime_from_sides",
+           "rhs"]
 
 #: Residual |eta - guard| allowed at a localized crossing.
 GUARD_STATE_TOL = 1e-9
@@ -48,15 +48,6 @@ def regime_from_sides(a_above: bool, b_above: bool) -> Regime:
     if a_above:
         return Regime.BILATERAL if b_above else Regime.A_EXPORTS
     return Regime.B_EXPORTS if b_above else Regime.NO_EXCHANGE
-
-
-def classify_regime(state: NormalizedState) -> Regime:
-    """Which exchange branch is active at ``state``.
-
-    A stock exactly at threshold counts as below; the flow vanishes there
-    under every assignment, so only determinism is at stake.
-    """
-    return regime_from_sides(state.eta_a > 1.0, state.eta_b > 1.0)
 
 
 def rhs(state: NormalizedState, econ: GoodEconomy) -> tuple[float, float]:

@@ -89,8 +89,8 @@ class SolverOptions:
 class TimeSeries:
     """Samples at every accepted step plus every event time.
 
-    Parallel arrays, strictly increasing in time; money arrays are present
-    only when prices were supplied to the integrator.
+    Parallel arrays, with finite and strictly increasing times; money arrays
+    are present only when prices were supplied to the integrator.
     """
 
     times: np.ndarray
@@ -109,19 +109,13 @@ class TimeSeries:
             raise ValueError("money arrays must both be present or both absent")
         if self.m_a is not None and (len(self.m_a) != n or len(self.m_b) != n):
             raise ValueError("money arrays must match the sample count")
-        if n > 1 and not (self.times[1:] > self.times[:-1]).all():
-            raise ValueError("sample times must be strictly increasing")
+        t = self.times
+        # finite ends and strictly increasing steps make every time finite
+        if n and not (math.isfinite(t[0]) and math.isfinite(t[-1]) and (t[1:] > t[:-1]).all()):
+            raise ValueError("sample times must be finite and strictly increasing")
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def state(self, i: int) -> NormalizedState:
-        return NormalizedState(float(self.eta_a[i]), float(self.eta_b[i]))
-
-    def money(self, i: int) -> MoneyState | None:
-        if self.m_a is None:
-            return None
-        return MoneyState(float(self.m_a[i]), float(self.m_b[i]))
 
 
 def _make_rk4(econ: GoodEconomy):

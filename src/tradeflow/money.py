@@ -1,11 +1,13 @@
 """Money along trajectories and at trade fixed points.
 
-One good alone cannot pay both ways: with an A-advantaged good, country B's
-money rate is the (negative) margin times its own production, so B breaks
-even only by stopping production entirely. Two goods traded in opposite
-directions can make both countries' money rates non-negative; this module
-evaluates the four feasibility conditions, the trade balances, and the
-exchange-coefficient relation that zeroes both balances.
+``fixed_point_production`` gives the productions that hold a one-sided
+export fixed point. One good alone cannot pay both ways: with an A-advantaged
+good, country B's money rate is the (negative) margin times its own
+production, so B breaks even only by stopping production entirely. Two goods
+traded in opposite directions can make both countries' money rates
+non-negative; this module evaluates the four feasibility conditions, the
+trade balances, and the exchange-coefficient relation that zeroes both
+balances.
 
 After substituting the balanced sigma2, every quantity depends on sigma1 and
 eta_a1 only through the product k = sigma1*(eta_a1 - 1); all rate formulas
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GoodEconomy, MoneyState, PriceSet, TwoGoodScenario, validate_scenario
-from .steady import fixed_point_production
 
 __all__ = [
     "MarginCoefficients",
@@ -28,12 +29,11 @@ __all__ = [
     "margins",
     "base_money_rates",
     "money_holdings",
+    "fixed_point_production",
     "one_good_money_rates",
     "balanced_sigma2",
     "trade_balances",
-    "two_good_money_rates",
     "feasibility_check",
-    "feasibility_at_k",
 ]
 
 
@@ -120,6 +120,37 @@ def money_holdings(econ: GoodEconomy, prices: PriceSet, money0: MoneyState | Non
             holdings(m0.m_b, lambda sf: base_b - y * sf))
 
 
+def fixed_point_production(
+    eta_a_star: float, c_a: float, c_b: float, sigma: float
+) -> tuple[float, float]:
+    """Production rates that hold (eta_a_star, eta_b < 1) stationary.
+
+    The exporter A overproduces by exactly the outflow sigma*(eta_a_star - 1)
+    and the importer B underproduces by the same amount; swap the roles of
+    c_a and c_b for a good that B exports. Raises when the importer's
+    production would be negative.
+    """
+    for name, v in (("eta_star", eta_a_star), ("the exporter's consumption", c_a),
+                    ("the importer's consumption", c_b), ("sigma", sigma)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+    if eta_a_star < 1.0:
+        raise ValueError(
+            f"eta_star must be >= 1 (at or above the exchange threshold), got {eta_a_star!r}"
+        )
+    if sigma < 0.0 or c_a < 0.0 or c_b < 0.0:
+        raise ValueError("consumptions and sigma must be >= 0")
+    outflow = sigma * (eta_a_star - 1.0)
+    p_b = c_b - outflow
+    if p_b < 0.0:
+        raise ValueError(
+            f"infeasible fixed point: sigma*(eta_star - 1) = {outflow!r} exceeds "
+            f"the importer's consumption {c_b!r}, implying a negative production "
+            "rate for the importer"
+        )
+    return c_a + outflow, p_b
+
+
 def one_good_money_rates(
     econ: GoodEconomy, prices: PriceSet, eta_a_star: float
 ) -> tuple[float, float]:
@@ -188,34 +219,22 @@ def _rates_at_k(
     return dm_a, dm_b, p_a1, p_a2, p_b1, p_b2
 
 
-def _k_of(s: TwoGoodScenario, sigma1: float, eta_a1: float | None) -> float:
+def feasibility_check(
+    s: TwoGoodScenario, sigma1: float, eta_a1: float | None = None
+) -> FeasibilityResult:
+    """Feasibility of the two-good fixed point at (sigma1, eta_a1), evaluated
+    at the transfer intensity k = sigma1*(eta_a1 - 1). Boundary values (rates
+    exactly zero) count as feasible.
+
+    ``eta_a1`` defaults to the scenario's fixed-point stock; the region
+    scanner overrides it per grid node.
+    """
     if not (sigma1 >= 0.0) or not math.isfinite(sigma1):
         raise ValueError(f"sigma1 must be >= 0 and finite, got {sigma1!r}")
     eta = s.eta_a1 if eta_a1 is None else eta_a1
     if not (eta >= 1.0) or not math.isfinite(eta):
         raise ValueError(f"eta_a1 must be >= 1 and finite, got {eta!r}")
-    return sigma1 * (eta - 1.0)
-
-
-def two_good_money_rates(
-    s: TwoGoodScenario, sigma1: float, eta_a1: float | None = None
-) -> tuple[float, float, tuple[float, float, float, float]]:
-    """Both countries' money rates at the symmetric two-good fixed point,
-    plus the implied production quadruple (p_a1, p_a2, p_b1, p_b2).
-
-    Negative implied productions are reported, not masked; they mark the
-    parameter region where the fixed point itself is infeasible.
-    """
-    m = margins(s)
-    dm_a, dm_b, p_a1, p_a2, p_b1, p_b2 = _rates_at_k(s, m, _k_of(s, sigma1, eta_a1))
-    return dm_a, dm_b, (p_a1, p_a2, p_b1, p_b2)
-
-
-def feasibility_at_k(s: TwoGoodScenario, k: float) -> FeasibilityResult:
-    """Evaluate the four feasibility conditions at a given transfer intensity
-    k = sigma1*(eta_a1 - 1). Boundary values (rates exactly zero) count as
-    feasible."""
-    dm_a, dm_b, p_a1, p_a2, p_b1, p_b2 = _rates_at_k(s, margins(s), k)
+    dm_a, dm_b, p_a1, p_a2, p_b1, p_b2 = _rates_at_k(s, margins(s), sigma1 * (eta - 1.0))
     return FeasibilityResult(
         money_a_ok=dm_a >= 0.0,
         money_b_ok=dm_b >= 0.0,
@@ -228,14 +247,3 @@ def feasibility_at_k(s: TwoGoodScenario, k: float) -> FeasibilityResult:
         p_b1=p_b1,
         p_b2=p_b2,
     )
-
-
-def feasibility_check(
-    s: TwoGoodScenario, sigma1: float, eta_a1: float | None = None
-) -> FeasibilityResult:
-    """Feasibility of the two-good fixed point at (sigma1, eta_a1).
-
-    ``eta_a1`` defaults to the scenario's fixed-point stock; the region
-    scanner overrides it per grid node.
-    """
-    return feasibility_at_k(s, _k_of(s, sigma1, eta_a1))

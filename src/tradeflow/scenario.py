@@ -23,8 +23,8 @@ from .core import (
     validate_scenario,
 )
 from .integrator import DepletionPolicy, SolverOptions
+from .money import fixed_point_production
 from .region import GridSpec
-from .steady import fixed_point_production
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_text", "serialize_scenario"]
 
@@ -183,16 +183,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     if grid is not None and not two:
         problems.append("[grid] requires the two-good model")
 
-    if two and good1 is not None and good2 is not None and prices1 and prices2:
-        eta1 = eta_star1 if eta_star1 is not None else _DEFAULT_ETA_STAR
-        eta2 = eta_star2 if eta_star2 is not None else _DEFAULT_ETA_STAR
-        problems.extend(
-            validate_scenario(TwoGoodScenario(good1, good2, prices1, prices2, eta1, eta2))
-        )
-
-    if problems:
-        raise ScenarioError(problems)
-    return Scenario(
+    sc = Scenario(
         kind=kind,
         good1=good1,
         good2=good2,
@@ -205,6 +196,12 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         solver=solver,
         grid=grid,
     )
+    if None not in (good1, good2, prices1, prices2):
+        problems.extend(validate_scenario(sc.two_good()))
+
+    if problems:
+        raise ScenarioError(problems)
+    return sc
 
 
 def _parse_good(cp, section, exporter, required, default_eta, problems):

@@ -194,7 +194,7 @@ def test_simulate_equilibrium_is_a_single_segment():
     econ = GoodEconomy(p_a=2.0, p_b=1.0, c_a=1.0, c_b=2.0, sigma=2.0)
     traj = simulate_analytic(NormalizedState(1.5, 1.0), econ, 50.0)
     assert len(traj.segments) == 1
-    assert traj.end_state == NormalizedState(1.5, 1.0)
+    assert traj.segments[-1].state_end == NormalizedState(1.5, 1.0)
 
 
 def test_trajectory_is_continuous_and_conservative():
@@ -293,6 +293,14 @@ def test_states_at_of_no_times_is_empty():
     econ = GoodEconomy(p_a=1.25, p_b=1.0, c_a=1.0, c_b=1.0, sigma=1.0)
     traj = simulate_analytic(NormalizedState(0.5, 0.5), econ, 10.0)
     assert traj.states_at(np.array([])).shape == (0, 2)
+
+
+@pytest.mark.parametrize("times", [0.5, np.float64(0.5), np.array([[0.5, 1.0]])])
+def test_states_at_rejects_times_that_are_not_one_dimensional(times):
+    econ = GoodEconomy(p_a=1.25, p_b=1.0, c_a=1.0, c_b=1.0, sigma=1.0)
+    traj = simulate_analytic(NormalizedState(0.5, 0.5), econ, 10.0)
+    with pytest.raises(ValueError, match="sample times must be a one-dimensional array"):
+        traj.states_at(times)
 
 
 def test_chatter_at_the_threshold_stops_at_the_segment_cap(monkeypatch):

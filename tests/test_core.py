@@ -27,13 +27,6 @@ def test_state_rejects_non_finite(bad):
         NormalizedState(0.0, bad)
 
 
-def test_state_from_raw_normalizes():
-    s = NormalizedState.from_raw(3.0, 1.0, 2.0)
-    assert s == NormalizedState(1.5, 0.5)
-    with pytest.raises(ValueError):
-        NormalizedState.from_raw(1.0, 1.0, 0.0)
-
-
 def test_economy_rejects_negative_rates():
     with pytest.raises(ValueError):
         GoodEconomy(p_a=-0.1, p_b=0.0, c_a=0.0, c_b=0.0, sigma=1.0)
@@ -41,21 +34,10 @@ def test_economy_rejects_negative_rates():
         GoodEconomy(p_a=0.0, p_b=0.0, c_a=0.0, c_b=0.0, sigma=-1.0)
 
 
-def test_economy_from_raw_divides_everything_by_h0():
-    e = GoodEconomy.from_raw(2.0, 4.0, 6.0, 8.0, 10.0, h0=2.0)
-    assert e == GoodEconomy(1.0, 2.0, 3.0, 4.0, 5.0)
-
-
 def test_economy_swapped_mirrors_countries():
     e = GoodEconomy(1.0, 2.0, 3.0, 4.0, 5.0)
     assert e.swapped() == GoodEconomy(2.0, 1.0, 4.0, 3.0, 5.0)
     assert e.net_a == -2.0 and e.net_b == -2.0
-
-
-def test_priceset_advantage():
-    assert PriceSet(1.0, 3.0, 2.0).advantage() == "a"
-    assert PriceSet(5.0, 2.0, 4.0).advantage() == "b"
-    assert PriceSet(2.0, 3.0, 2.0).advantage() is None  # boundary is neither
 
 
 def test_money_state_allows_debt():

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tradeflow.core import GoodEconomy, NormalizedState, Regime
-from tradeflow.exchange import classify_regime, exchange_flow, flow_array, rhs
+from tradeflow.exchange import exchange_flow, flow_array, regime_from_sides, rhs
 
 etas = st.floats(-2.0, 4.0, allow_nan=False)
 rates = st.floats(0.0, 5.0, allow_nan=False)
@@ -36,7 +36,7 @@ def test_flow_examples(eta_a, eta_b, expected):
     ],
 )
 def test_classify_examples(eta_a, eta_b, expected):
-    assert classify_regime(NormalizedState(eta_a, eta_b)) is expected
+    assert regime_from_sides(eta_a > 1.0, eta_b > 1.0) is expected
 
 
 def test_rhs_balanced_below_threshold_is_zero():

@@ -182,7 +182,7 @@ def test_single_step_equals_rk4_step():
     s0 = NormalizedState(1.4, 0.8)
     series = integrate_with_events(s0, econ, _opts(horizon=0.125, step=0.125))
     manual = rk4_step(s0, econ, 0.125)
-    assert series.state(1) == manual
+    assert (series.eta_a[1], series.eta_b[1]) == (manual.eta_a, manual.eta_b)
 
 
 def test_conservation_drift_stays_tiny():
@@ -297,7 +297,6 @@ def test_money_absent_without_prices():
     econ = GoodEconomy(1.0, 1.0, 1.0, 1.0, 1.0)
     series = integrate_with_events(NormalizedState(0.5, 0.5), econ, _opts(horizon=1.0))
     assert series.m_a is None and series.m_b is None
-    assert series.money(0) is None
 
 
 # ------------------------------------------------------------- TimeSeries
@@ -333,6 +332,7 @@ def _series_at(times):
 @pytest.mark.parametrize("times", [
     [0.0, math.nan, 1.0], [math.nan, 1.0], [0.0, 1.0, math.nan],
     [0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [math.inf, math.inf], [-math.inf, -math.inf],
+    [-math.inf, 0.0, math.inf], [math.nan], [math.inf], [0.0, math.inf],
 ])
 def test_timeseries_rejects_times_that_do_not_increase(times):
     # errstate: the rule is pinned, not whether a check computes inf - inf on the way
@@ -341,7 +341,7 @@ def test_timeseries_rejects_times_that_do_not_increase(times):
 
 
 @pytest.mark.parametrize("times", [
-    [], [0.0], [0.0, 5e-324, 1.0], [-math.inf, 0.0, math.inf],
+    [], [0.0], [0.0, 5e-324, 1.0],
 ])
 def test_timeseries_accepts_strictly_increasing_times(times):
     assert len(_series_at(times)) == len(times)
@@ -353,7 +353,7 @@ def test_timeseries_regimes_follow_the_samples():
     first, last = series.regimes[0], series.regimes[-1]
     assert first is Regime.NO_EXCHANGE
     assert last in (Regime.A_EXPORTS, Regime.BILATERAL)
-    assert series.state(0) == NormalizedState(0.5, 0.5)
+    assert (series.eta_a[0], series.eta_b[0]) == (0.5, 0.5)
 
 
 # ------------------------------------------------------------- pinned bytes
@@ -573,7 +573,7 @@ def test_flow_free_shortcut_tests_the_stage_point_not_the_step_end():
     kernel = rk4_step(NormalizedState(ea, 0.25), econ, step)
     assert kernel != NormalizedState(end, 0.25)
     assert series.events == []
-    assert series.state(1) == kernel
+    assert (series.eta_a[1], series.eta_b[1]) == (kernel.eta_a, kernel.eta_b)
 
 
 def test_flow_free_shortcut_tests_the_step_end_too():

@@ -8,13 +8,11 @@ from tradeflow.integrator import DepletionPolicy, SolverOptions, integrate_with_
 from tradeflow.money import (
     balanced_sigma2,
     base_money_rates,
-    feasibility_at_k,
     feasibility_check,
     margins,
     money_holdings,
     one_good_money_rates,
     trade_balances,
-    two_good_money_rates,
 )
 
 FIG_PRICES1 = PriceSet(x_a=1.0, x_b=3.0, y=2.0)
@@ -180,20 +178,20 @@ def test_trade_balances_cancel_under_the_balance_relation():
 
 def test_two_good_rates_reference_point():
     # k = 3: A nets 0.5 per unit time, B nets 3
-    dm_a, dm_b, prods = two_good_money_rates(fig_scenario(), 2.0, eta_a1=2.5)
-    assert dm_a == 0.5 and dm_b == 3.0
-    assert prods == (4.0, 3.5, 4.0, 3.5)
+    r = feasibility_check(fig_scenario(), 2.0, eta_a1=2.5)
+    assert r.dm_a == 0.5 and r.dm_b == 3.0
+    assert (r.p_a1, r.p_a2, r.p_b1, r.p_b2) == (4.0, 3.5, 4.0, 3.5)
 
 
 def test_two_good_rates_autarky_point():
-    dm_a, dm_b, prods = two_good_money_rates(fig_scenario(), 0.0)
-    assert dm_a == -4.0  # loses on good 2 with no trade income
-    assert prods == (1.0, 5.0, 7.0, 2.0)
+    r = feasibility_check(fig_scenario(), 0.0)
+    assert r.dm_a == -4.0  # loses on good 2 with no trade income
+    assert (r.p_a1, r.p_a2, r.p_b1, r.p_b2) == (1.0, 5.0, 7.0, 2.0)
 
 
 def test_two_good_rates_report_negative_productions():
-    _, _, prods = two_good_money_rates(fig_scenario(), 8.0)  # k = 8 > c_b1
-    assert prods[2] < 0.0
+    r = feasibility_check(fig_scenario(), 8.0)  # k = 8 > c_b1
+    assert r.p_b1 < 0.0
 
 
 def test_feasibility_reference_points():
@@ -289,13 +287,13 @@ def test_vanishing_good2_margin_leaves_only_the_export_income():
     prices2 = PriceSet(x_a=4.0 + eps, x_b=2.0, y=4.0)
     s = TwoGoodScenario(good1, good2, FIG_PRICES1, prices2, 2.0, 2.0)
     for sigma1 in (0.0, 1.0, 3.0):
-        dm_a, _, prods = two_good_money_rates(s, sigma1)
-        assert abs(dm_a - margins(s).alpha1 * prods[0]) <= 2 * eps * abs(prods[1])
-        assert dm_a >= -2 * eps * abs(prods[1])
+        r = feasibility_check(s, sigma1)
+        assert abs(r.dm_a - margins(s).alpha1 * r.p_a1) <= 2 * eps * abs(r.p_a2)
+        assert r.dm_a >= -2 * eps * abs(r.p_a2)
     degenerate = TwoGoodScenario(good1, good2, FIG_PRICES1,
                                  PriceSet(4.0, 2.0, 4.0), 2.0, 2.0)
     with pytest.raises(ValueError, match="invalid scenario"):
-        two_good_money_rates(degenerate, 1.0)
+        feasibility_check(degenerate, 1.0)
 
 
 def test_rate_form_agrees_with_the_ratio_form():
@@ -338,8 +336,9 @@ def test_feasibility_ignores_the_good2_stock_choice():
 @given(sigma1=st.floats(0.0, 5.0), eta=st.floats(1.0, 4.0))
 def test_feasibility_check_routes_through_k(sigma1, eta):
     s = fig_scenario()
-    assert feasibility_check(s, sigma1, eta_a1=eta) == feasibility_at_k(
-        s, sigma1 * (eta - 1.0)
+    # eta_a1 = 2.0 makes k = sigma1*(eta - 1)*1.0 exactly
+    assert feasibility_check(s, sigma1, eta_a1=eta) == feasibility_check(
+        s, sigma1 * (eta - 1.0), eta_a1=2.0
     )
 
 

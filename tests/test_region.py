@@ -3,7 +3,7 @@ import pytest
 
 from tradeflow import money
 from tradeflow.core import GoodEconomy, PriceSet, TwoGoodScenario
-from tradeflow.money import feasibility_at_k, feasibility_check, two_good_money_rates
+from tradeflow.money import feasibility_check
 from tradeflow.region import GridSpec, feasible_k_interval, scan_region
 
 from test_money import fig_scenario, random_valid_scenario
@@ -149,8 +149,6 @@ def test_feasible_set_is_contiguous_along_rows():
 _PUBLIC_CALLS = {
     "scan_region": lambda s: scan_region(s, small_grid()),
     "feasible_k_interval": feasible_k_interval,
-    "two_good_money_rates": lambda s: two_good_money_rates(s, 1.0),
-    "feasibility_at_k": lambda s: feasibility_at_k(s, 1.0),
     "feasibility_check": lambda s: feasibility_check(s, 1.0),
 }
 

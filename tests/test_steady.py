@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from tradeflow.core import GoodEconomy, NormalizedState, Regime
+from tradeflow.core import GoodEconomy, NormalizedState
 from tradeflow.exchange import rhs
-from tradeflow.steady import (
-    fixed_point_production,
-    is_steady_state,
-    regime_equilibria,
-)
+from tradeflow.money import fixed_point_production
 
 
 def test_production_splits_the_outflow():
@@ -59,50 +55,3 @@ def test_sum_rule_production_equals_consumption():
         eta = 1.0 + rng.uniform(0.0, 1.0) * (c_b / sigma if sigma > 0 else 1.0)
         p_a, p_b = fixed_point_production(eta, c_a, c_b, sigma)
         assert abs((p_a + p_b) - (c_a + c_b)) <= 1e-12
-
-
-def test_is_steady_state_on_the_cooperative_point():
-    econ = GoodEconomy(2.0, 1.0, 1.0, 2.0, 2.0)
-    assert is_steady_state(NormalizedState(1.5, 1.0), econ, tol=1e-12)
-    perturbed = GoodEconomy(2.0 + 1e-11, 1.0, 1.0, 2.0, 2.0)
-    assert not is_steady_state(NormalizedState(1.5, 1.0), perturbed, tol=1e-12)
-
-
-def test_is_steady_state_decoupled_balanced():
-    econ = GoodEconomy(1.0, 2.0, 1.0, 2.0, 0.0)
-    assert is_steady_state(NormalizedState(2.7, 0.1), econ, tol=1e-15)
-    with pytest.raises(ValueError):
-        is_steady_state(NormalizedState(1.0, 1.0), econ, tol=0.0)
-
-
-def test_equilibria_cooperative_balance():
-    # net rates +1/-1 with sigma = 2: the exporting regime holds a fixed point
-    # at eta_a = 1.5, the bilateral regime along eta_a - eta_b = 0.5
-    econ = GoodEconomy(2.0, 1.0, 1.0, 2.0, 2.0)
-    by_regime = {e.regime: e for e in regime_equilibria(econ)}
-    assert by_regime[Regime.A_EXPORTS].has_fixed_point
-    assert by_regime[Regime.A_EXPORTS].attractor_value == 1.5
-    assert not by_regime[Regime.B_EXPORTS].has_fixed_point
-    assert by_regime[Regime.BILATERAL].has_fixed_point
-    assert by_regime[Regime.BILATERAL].attractor_value == 0.5
-    assert not by_regime[Regime.NO_EXCHANGE].has_fixed_point
-
-
-def test_equilibria_growth_everywhere_forbids_fixed_points():
-    econ = GoodEconomy(2.0, 2.0, 1.0, 1.0, 1.0)
-    assert all(not e.has_fixed_point for e in regime_equilibria(econ))
-
-
-def test_equilibria_fully_balanced_economies():
-    econ = GoodEconomy(1.0, 2.0, 1.0, 2.0, 1.0)
-    by_regime = {e.regime: e for e in regime_equilibria(econ)}
-    assert by_regime[Regime.NO_EXCHANGE].has_fixed_point
-    assert by_regime[Regime.BILATERAL].has_fixed_point
-    assert by_regime[Regime.BILATERAL].attractor_value == 0.0
-    assert not by_regime[Regime.A_EXPORTS].has_fixed_point  # attractor on the boundary
-
-
-def test_equilibria_sigma_zero_gives_only_the_decoupled_entry():
-    entries = regime_equilibria(GoodEconomy(1.0, 1.0, 1.0, 1.0, 0.0))
-    assert [e.regime for e in entries] == [Regime.NO_EXCHANGE]
-    assert entries[0].has_fixed_point
