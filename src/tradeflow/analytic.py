@@ -259,9 +259,22 @@ def _ok(form: ExpLinear, above: bool, t: float) -> bool:
 def _bisect_crossing(form: ExpLinear, above: bool, lo: float, hi: float, tol: float) -> float:
     """Shrink a bracket (side holds at lo, violated at hi) and return the
     violated endpoint, refining past tol until the stock sits on the guard."""
+    # Each test is one call that evaluates ``form.value(t) - 1.0`` inline, in
+    # the same operations; with coef == 0, rate 0 makes the exp term exactly
+    # 0.0 at every finite t, as in value's affine case.
+    c, s, a, r = form.const, form.slope, form.coef, form.rate
+    if a == 0.0:
+        r = 0.0
+    exp = math.exp
+    if above:
+        def past(t):
+            return not (c + s * t + a * exp(-r * t) - 1.0 > 0.0)
+    else:
+        def past(t):
+            return not (c + s * t + a * exp(-r * t) - 1.0 <= 0.0)
     return bisect(
-        lambda t: not _ok(form, above, t), lo, hi, tol,
-        settled=lambda t: abs(form.value(t) - 1.0) <= GUARD_STATE_TOL,
+        past, lo, hi, tol,
+        settled=lambda t: abs(c + s * t + a * exp(-r * t) - 1.0) <= GUARD_STATE_TOL,
     )[1]
 
 

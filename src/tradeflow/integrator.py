@@ -6,9 +6,10 @@ localized inside a step by bisection on single partial steps, recorded as
 typed :class:`~tradeflow.core.Event` records (kind ``crossing`` or
 ``depletion``; ``clamp`` under the clamp-to-zero policy), and integration
 restarts from the crossing. Only the halt policy emits ``depletion``, and
-that event ends the series. A flow-free step, a full step on which every
-stage point sits at or below the threshold, takes the exact increment the
-kernel would return there without running it.
+that event ends the series. The loop runs the full step's four stages
+inline; a flow-free step, a full step on which every stage point sits at or
+below the threshold, takes the exact increment the kernel would return
+there without running it.
 
 Money extends the fixed-point money rates to arbitrary states: each country
 spends its production cost per unit produced and earns the market price on
@@ -16,10 +17,11 @@ domestic consumption plus net exports, so
 dm_a/dt = -x_a*p_a + y*(c_a + sigma*f) and symmetrically for B with the flow
 sign reversed. At a one-sided export fixed point this reduces to the margin
 times the production rate. Money never feeds back into the stocks, so the
-RK4 loop steps the stocks alone and records each step's length; after it,
-the stage flows of every step are replayed as arrays and
-``money.money_holdings``, the rule both engines share, integrates them to
-the values that stepping money inside the loop gives.
+RK4 loop steps the stocks alone and records the length only of the steps
+that are not a full ``step``: partial steps near the horizon and bisected
+steps to an event. After it, the stage flows of every step are replayed as
+arrays and ``money.money_holdings``, the rule both engines share, integrates
+them to the values that stepping money inside the loop gives.
 """
 
 from __future__ import annotations
@@ -119,7 +121,9 @@ class TimeSeries:
 
 
 def _make_rk4(econ: GoodEconomy):
-    """Classical four-stage step of the stocks (eta_a, eta_b) as one closure.
+    """Classical four-stage step of the stocks (eta_a, eta_b) as one closure:
+    the reference kernel, which ``rk4_step``, partial steps and bisection run;
+    ``integrate_with_events`` runs its full step inline.
 
     Each stage inlines the stock derivative of exchange.rhs (``0.0 if u < 1.0
     else u - 1.0`` is max(u - 1, 0), NaN included); the bit-equality with rhs
@@ -184,15 +188,32 @@ def rk4_step(state: NormalizedState, econ: GoodEconomy, h: float) -> NormalizedS
     return NormalizedState(*_make_rk4(econ)(state.eta_a, state.eta_b, h))
 
 
-def _bisect_guard(step_fn, idx: int, target: float, above0: bool, h_step: float, tol: float):
-    """Earliest partial-step length at which component ``idx`` has left the
-    side it held at the step start; returns (tau, state tuple at tau), with
-    the state strictly past the crossing."""
-    _, tau = bisect(
-        lambda h: (step_fn(h)[idx] > target) != above0, 0.0, h_step, tol,
-        settled=lambda h: abs(step_fn(h)[idx] - target) <= GUARD_STATE_TOL,
-    )
-    return tau, step_fn(tau)
+def _bisect_guard(rk4, ea: float, eb: float, idx: int, target: float, above0: bool,
+                  h_step: float, tol: float):
+    """Earliest partial-step length from (ea, eb) at which component ``idx``
+    has left the side it held at the step start; returns (tau, state tuple at
+    tau), with the state strictly past the crossing. The kernel runs at most
+    once per length: the state at the bracket's upper end is kept for
+    ``settled`` and for the result."""
+    y_hi = None  # the state at bisect's current hi, once the kernel has run there
+
+    def past(h):
+        nonlocal y_hi
+        y = rk4(ea, eb, h)
+        if (y[idx] > target) != above0:
+            y_hi = y  # h becomes the new hi
+            return True
+        return False
+
+    def at_hi(h):
+        nonlocal y_hi
+        if y_hi is None:  # hi is still h_step
+            y_hi = rk4(ea, eb, h)
+        return y_hi
+
+    _, tau = bisect(past, 0.0, h_step, tol,
+                    settled=lambda h: abs(at_hi(h)[idx] - target) <= GUARD_STATE_TOL)
+    return tau, at_hi(tau)
 
 
 def integrate_with_events(
@@ -220,20 +241,24 @@ def integrate_with_events(
     ts = [0.0]
     eas = [ea]
     ebs = [eb]
-    hs: list[float] = []  # length of the step that ended at each later sample
+    # (sample index, length) of each step to it that is not a full step; the
+    # step to sample i has length step unless listed here
+    short: list[tuple[int, float]] = []
     events: list[Event] = []
 
     def build() -> TimeSeries:
-        # Typed conversions skip numpy's type discovery; h has no reader but
-        # the money pass, so it becomes an array only when there is money.
+        # Typed conversions skip numpy's type discovery.
         times = np.array(ts, dtype=np.float64)
         ea_arr = np.array(eas, dtype=np.float64)
         eb_arr = np.array(ebs, dtype=np.float64)
-        h = np.array(hs, dtype=np.float64) if prices is not None else None
-        del ts[:], eas[:], ebs[:], hs[:]  # free them before the money pass (peak memory)
+        del ts[:], eas[:], ebs[:]  # free them before the money pass (peak memory)
         regimes = _REGIME_LUT[(ea_arr > 1.0) + 2 * (eb_arr > 1.0)].tolist()
         m_a = m_b = None
-        if prices is not None:
+        if prices is not None:  # the step lengths' one reader is the money pass
+            h = np.full(len(times) - 1, step)
+            if short:
+                at, lengths = zip(*short)
+                h[np.array(at) - 1] = lengths
             with np.errstate(over="ignore", invalid="ignore"):
                 m_a, m_b = money_holdings(econ, prices, money0, h,
                                           *_stage_flows(econ, ea_arr[:-1], eb_arr[:-1], h))
@@ -247,7 +272,7 @@ def integrate_with_events(
 
     halt = policy is DepletionPolicy.HALT
     clamp = policy is DepletionPolicy.CLAMP_TO_ZERO
-    ts_app, eas_app, ebs_app, hs_app = ts.append, eas.append, ebs.append, hs.append
+    ts_app, eas_app, ebs_app = ts.append, eas.append, ebs.append
 
     # Flow-free shortcut: on a full step whose every stage point sits at or
     # below 1, all four stage flows are sig*(0.0 - 0.0), so each stage slope
@@ -255,11 +280,16 @@ def integrate_with_events(
     # e + (0.5*step)*k and e + step*k are monotone in the step, so
     # `e + reach <= 1.0` (reach = step*k when k > 0, else 0) covers them all.
     # The step end then meets the same guard checks as a kernel step's.
-    sf0 = econ.sigma * (0.0 - 0.0)
-    ka = (econ.p_a - econ.c_a) - sf0
-    kb = (econ.p_b - econ.c_b) + sf0
-    da = step / 6.0 * (ka + 2.0 * (ka + ka) + ka)
-    db = step / 6.0 * (kb + 2.0 * (kb + kb) + kb)
+    sig = econ.sigma
+    na = econ.p_a - econ.c_a
+    nb = econ.p_b - econ.c_b
+    half = 0.5 * step
+    sixth = step / 6.0
+    sf0 = sig * (0.0 - 0.0)
+    ka = na - sf0
+    kb = nb + sf0
+    da = sixth * (ka + 2.0 * (ka + ka) + ka)
+    db = sixth * (kb + 2.0 * (kb + kb) + kb)
     reach_a = step * ka if ka > 0.0 else 0.0
     reach_b = step * kb if kb > 0.0 else 0.0
 
@@ -274,7 +304,26 @@ def integrate_with_events(
                 e1a = ea + da
                 e1b = eb + db
             else:
-                e1a, e1b = rk4(ea, eb, step)
+                # The full step of _make_rk4, inline; a test pins it to
+                # rk4_step bit for bit.
+                sf = sig * ((0.0 if ea < 1.0 else ea - 1.0) - (0.0 if eb < 1.0 else eb - 1.0))
+                k1a = na - sf
+                k1b = nb + sf
+                ua = ea + half * k1a
+                ub = eb + half * k1b
+                sf = sig * ((0.0 if ua < 1.0 else ua - 1.0) - (0.0 if ub < 1.0 else ub - 1.0))
+                k2a = na - sf
+                k2b = nb + sf
+                ua = ea + half * k2a
+                ub = eb + half * k2b
+                sf = sig * ((0.0 if ua < 1.0 else ua - 1.0) - (0.0 if ub < 1.0 else ub - 1.0))
+                k3a = na - sf
+                k3b = nb + sf
+                ua = ea + step * k3a
+                ub = eb + step * k3b
+                sf = sig * ((0.0 if ua < 1.0 else ua - 1.0) - (0.0 if ub < 1.0 else ub - 1.0))
+                e1a = ea + sixth * (k1a + 2.0 * (k2a + k3a) + (na - sf))
+                e1b = eb + sixth * (k1b + 2.0 * (k2b + k3b) + (nb + sf))
 
         # Fast path: no guard changed side inside this step.
         if (
@@ -291,15 +340,13 @@ def integrate_with_events(
                 ea = ea if ea >= 0.0 else 0.0
                 eb = eb if eb >= 0.0 else 0.0
                 events.append(Event(t_new, "clamp", which))
+            if h_step != step:
+                short.append((len(ts), h_step))
             ts_app(t_new)
             eas_app(ea)
             ebs_app(eb)
-            hs_app(h_step)
             t = t_new
             continue
-
-        def step_fn(tau, _ea=ea, _eb=eb):
-            return rk4(_ea, _eb, tau)
 
         # Every guard crossing inside this step (rare path); the earliest wins,
         # and on equal times the first found.
@@ -307,10 +354,10 @@ def integrate_with_events(
         for idx, name, v0, v1 in ((0, "eta_a", ea, e1a), (1, "eta_b", eb, e1b)):
             above0 = v0 > 1.0
             if (v1 > 1.0) != above0:
-                hits.append((*_bisect_guard(step_fn, idx, 1.0, above0, h_step, tol),
+                hits.append((*_bisect_guard(rk4, ea, eb, idx, 1.0, above0, h_step, tol),
                              "crossing", name, "downward" if above0 else "upward"))
             if halt and v0 >= 0.0 > v1:
-                hits.append((*_bisect_guard(step_fn, idx, 0.0, True, h_step, tol),
+                hits.append((*_bisect_guard(rk4, ea, eb, idx, 0.0, True, h_step, tol),
                              "depletion", name, "reached zero"))
         if not hits:  # a side flipped, so some bisection must bracket
             raise RuntimeError(f"guard flip at t={t!r} but no crossing localized")
@@ -325,10 +372,10 @@ def integrate_with_events(
                 "cannot advance past the crossing"
             )
         ea, eb = y_at
+        short.append((len(ts), tau))  # the bisected length; t_ev may be cut to the horizon
         ts_app(t_ev)
         eas_app(ea)
         ebs_app(eb)
-        hs_app(tau)  # the bisected length; t_ev may be cut back to the horizon
         events.append(event)
         t = t_ev
         if event.kind == "depletion":

@@ -1,5 +1,8 @@
 import hashlib
+import inspect
 import math
+import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -465,22 +468,179 @@ def test_flow_free_stretches_match_pinned_digest():
     assert _series_digest(series_list) == PINNED_FLOW_FREE_DIGEST
 
 
-@pytest.mark.parametrize("policy", _POLICIES)
-def test_flow_free_steps_skip_the_kernel(monkeypatch, policy):
+# First line of the full-step kernel inline in the loop, and the first line
+# run once the loop has chosen its step (e1a, e1b) from (ea, eb).
+_FIRST_STAGE = "sf = sig * ((0.0 if ea < 1.0 else ea - 1.0)"
+_STEP_CHOSEN = "((e1a > 1.0) == (ea > 1.0))"
+
+
+@contextmanager
+def _line_watch(fn, *texts):
+    """Collect a copy of the locals of ``fn`` each time the one source line
+    of it that contains a text is about to run: {text: [locals, ...]}."""
+    lines, first = inspect.getsourcelines(fn)
+    linenos = {}
+    for text in texts:
+        (offset,) = [i for i, line in enumerate(lines) if text in line]
+        linenos[first + offset] = text
+    seen = {text: [] for text in texts}
+    code = fn.__code__
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in linenos:
+            seen[linenos[frame.f_lineno]].append(dict(frame.f_locals))
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        yield seen
+    finally:
+        sys.settrace(previous)
+
+
+def _counting_kernel(monkeypatch):
+    """Route every ``_make_rk4`` step through a recorder; returns the list of
+    (ea, eb, h, result) it fills. Full steps run inline and skip it."""
     calls = []
     make_rk4 = integrator._make_rk4
 
     def counting(econ):
         rk4 = make_rk4(econ)
-        return lambda ea, eb, h: calls.append(h) or rk4(ea, eb, h)
+
+        def step(ea, eb, h):
+            y = rk4(ea, eb, h)
+            calls.append((ea, eb, h, y))
+            return y
+
+        return step
 
     monkeypatch.setattr(integrator, "_make_rk4", counting)
-    econ = GoodEconomy(1.1, 0.5, 1.0, 0.8, 2.0)  # stocks stay below 1 throughout
-    series = integrate_with_events(NormalizedState(0.2, 0.5), econ,
-                                   _opts(horizon=1.0, step=1e-2, depletion_policy=policy))
-    assert len(series) == 101 and series.events == []
+    return calls
+
+
+@pytest.mark.parametrize("policy", _POLICIES)
+def test_flow_free_steps_skip_the_kernel(monkeypatch, policy):
+    calls = _counting_kernel(monkeypatch)
+    econ = GoodEconomy(1.1, 0.5, 1.0, 0.8, 2.0)
+    opts = _opts(horizon=1.0, step=1e-2, depletion_policy=policy)
+    with _line_watch(integrator.integrate_with_events, _FIRST_STAGE) as seen:
+        series = integrate_with_events(NormalizedState(0.2, 0.5), econ, opts)
+    assert len(series) == 101 and series.events == []  # stocks stay below 1 throughout
+    assert seen[_FIRST_STAGE] == []
     # at most the last step, which float rounding of t shortens below the step
-    assert len(calls) <= 1 and all(h < 1e-2 for h in calls)
+    assert len(calls) <= 1 and all(h < 1e-2 for _, _, h, _ in calls)
+    # control: from A above 1 every full step flows, and the watch sees each one
+    with _line_watch(integrator.integrate_with_events, _FIRST_STAGE) as seen:
+        flowing = integrate_with_events(NormalizedState(1.2, 0.5), econ, opts)
+    assert flowing.events == [] and flowing.eta_a.min() > 1.0
+    assert len(seen[_FIRST_STAGE]) >= 99
+
+
+def _stage_points(ea, eb, econ, h):
+    """The four stage points of the RK4 step of length h from (ea, eb), built
+    from rhs as in test_rk4_kernel_matches_manual_stages_built_from_rhs."""
+    half = 0.5 * h
+    ka, kb = rhs(NormalizedState(ea, eb), econ)
+    p2 = (ea + half * ka, eb + half * kb)
+    ka, kb = rhs(NormalizedState(*p2), econ)
+    p3 = (ea + half * ka, eb + half * kb)
+    ka, kb = rhs(NormalizedState(*p3), econ)
+    return [(ea, eb), p2, p3, (ea + h * ka, eb + h * kb)]
+
+
+def _adversarial_starts(stage, idx, rng, h, count=3):
+    """(start, econ) pairs whose stage point ``stage`` has component ``idx``
+    exactly at 1.0, each with the starts 1 and 2 ulps either side of it, whose
+    stage point straddles 1.0; a seeded search with sigma*h up to 2.7 and the
+    other stock in [-0.5, 2]."""
+    out = []
+    for _ in range(2000):
+        econ = GoodEconomy(*rng.uniform(0.0, 3.0, size=4), rng.uniform(0.0, 2.7 / h))
+        other = rng.uniform(-0.5, 2.0)
+
+        def start(x):
+            return (x, other) if idx == 0 else (other, x)
+
+        def above(x):
+            return _stage_points(*start(x), econ, h)[stage][idx] > 1.0
+
+        grid = np.linspace(-1.0, 3.0, 41).tolist()
+        flips = [(a, b) for a, b in zip(grid, grid[1:]) if above(a) != above(b)]
+        if not flips:
+            continue
+        lo, hi = flips[0]
+        while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
+            lo, hi = (mid, hi) if above(mid) == above(lo) else (lo, mid)
+        xs = [lo]
+        for _ in range(4):
+            xs = [np.nextafter(xs[0], -np.inf), *xs, np.nextafter(xs[-1], np.inf)]
+        exact = [x for x in xs if _stage_points(*start(float(x)), econ, h)[stage][idx] == 1.0]
+        if not exact:
+            continue
+        x = exact[0]
+        for _ in range(2):
+            x = np.nextafter(x, -np.inf)
+        for _ in range(5):
+            out.append((NormalizedState(*start(float(x))), econ))
+            x = np.nextafter(x, np.inf)
+        if len(out) >= 5 * count:
+            return out
+    pytest.fail(f"no start with stage point {stage} of component {idx} at 1.0 was found")
+
+
+def _assert_inline_steps_equal_rk4_step(s0, econ, opts):
+    """Run the loop and check every full step it chose against rk4_step, bit
+    for bit; returns (full steps checked, full steps through the inline kernel)."""
+    with _line_watch(integrator.integrate_with_events, _FIRST_STAGE, _STEP_CHOSEN) as seen:
+        integrate_with_events(s0, econ, opts)
+    full = [loc for loc in seen[_STEP_CHOSEN] if loc["h_step"] == opts.step]
+    for loc in full:
+        want = rk4_step(NormalizedState(loc["ea"], loc["eb"]), econ, opts.step)
+        assert (loc["e1a"].hex(), loc["e1b"].hex()) == (want.eta_a.hex(), want.eta_b.hex())
+    return len(full), len(seen[_FIRST_STAGE])
+
+
+@pytest.mark.parametrize("policy", _POLICIES)
+def test_inline_full_step_equals_rk4_step_bit_for_bit(policy):
+    rng = np.random.default_rng(15)
+    h = 0.1
+    full = inline = 0
+    # one step from each start: stage points at 1.0 and 1-2 ulps either side
+    # of it, at each stage and for each stock
+    for stage in range(4):
+        for idx in range(2):
+            for s0, econ in _adversarial_starts(stage, idx, rng, h):
+                opts = _opts(horizon=h, step=h, depletion_policy=policy)
+                n_full, n_inline = _assert_inline_steps_equal_rk4_step(s0, econ, opts)
+                halted = policy is DepletionPolicy.HALT and min(s0.eta_a, s0.eta_b) < 0.0
+                assert n_full == (0 if halted else 1)
+                full, inline = full + n_full, inline + n_inline
+    # stiff runs (sigma*step up to 2.7) from anywhere, negative stocks included
+    for _ in range(60):
+        econ = GoodEconomy(*rng.uniform(0.0, 3.0, size=4), rng.uniform(0.0, 2.7 / h))
+        s0 = NormalizedState(*rng.uniform(-0.5, 2.5, size=2))
+        n_full, n_inline = _assert_inline_steps_equal_rk4_step(
+            s0, econ, _opts(horizon=2.0, step=h, depletion_policy=policy))
+        full, inline = full + n_full, inline + n_inline
+    assert full >= 500 and inline >= 0.5 * full
+
+
+def test_bisection_runs_the_kernel_once_per_length(monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    econ = GoodEconomy(1.5, 0.5, 1.0, 0.5, 2.0)  # A rises through 1 near t = 0.994
+    series = integrate_with_events(NormalizedState(0.503, 0.5), econ,
+                                   _opts(horizon=1.5, step=1e-2))
+    assert [(e.kind, e.stock) for e in series.events] == [("crossing", "eta_a")]
+    assert len({(ea, eb, h) for ea, eb, h, _ in calls}) == len(calls)
+    k = int(np.searchsorted(series.times, series.events[0].t))
+    start = (series.eta_a[k - 1], series.eta_b[k - 1])
+    tried = [(h, y) for ea, eb, h, y in calls if (ea, eb) == start]
+    assert len(tried) >= 20
+    # bisect's last hi: the latest length whose state is past the guard
+    tau, y_hi = [(h, y) for h, y in tried if y[0] > 1.0][-1]
+    assert (series.eta_a[k], series.eta_b[k]) == y_hi
+    assert series.times[k] == series.times[k - 1] + tau
 
 
 def _stepped(s0, econ, opts):
