@@ -261,21 +261,38 @@ def _bisect_crossing(form: ExpLinear, above: bool, lo: float, hi: float, tol: fl
     violated endpoint, refining past tol until the stock sits on the guard."""
     # Each test is one call that evaluates ``form.value(t) - 1.0`` inline, in
     # the same operations; with coef == 0, rate 0 makes the exp term exactly
-    # 0.0 at every finite t, as in value's affine case.
+    # 0.0 at every finite t, as in value's affine case. The excess at the
+    # bracket's upper end is kept for ``settled``, so no time is evaluated twice.
     c, s, a, r = form.const, form.slope, form.coef, form.rate
     if a == 0.0:
         r = 0.0
     exp = math.exp
+    g_hi = None  # the excess at bisect's current hi, once evaluated there
+
     if above:
         def past(t):
-            return not (c + s * t + a * exp(-r * t) - 1.0 > 0.0)
+            nonlocal g_hi
+            g = c + s * t + a * exp(-r * t) - 1.0
+            if g > 0.0:
+                return False
+            g_hi = g
+            return True
     else:
         def past(t):
-            return not (c + s * t + a * exp(-r * t) - 1.0 <= 0.0)
-    return bisect(
-        past, lo, hi, tol,
-        settled=lambda t: abs(c + s * t + a * exp(-r * t) - 1.0) <= GUARD_STATE_TOL,
-    )[1]
+            nonlocal g_hi
+            g = c + s * t + a * exp(-r * t) - 1.0
+            if g <= 0.0:
+                return False
+            g_hi = g
+            return True
+
+    def settled(t):
+        nonlocal g_hi
+        if g_hi is None:  # hi is still the bracket's initial upper end
+            g_hi = c + s * t + a * exp(-r * t) - 1.0
+        return abs(g_hi) <= GUARD_STATE_TOL
+
+    return bisect(past, lo, hi, tol, settled=settled)[1]
 
 
 def _interior_extremum(form: ExpLinear, lo: float, hi: float, tol: float) -> float | None:

@@ -95,20 +95,38 @@ def _write_lines(path: Path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _block_column(a: np.ndarray, spec: str) -> tuple[str, list]:
+    """One block of an array column as (spec, values) for `_blocks`. When at
+    least half of its rows repeat the row above bit for bit (a float64 by its
+    bits, so -0.0 after 0.0 starts a run), only the run heads are formatted,
+    by ``spec`` in one ``%``, and each row gets its head's string under
+    ``%s``; otherwise the values go to ``spec`` as they are."""
+    keys = a if a.dtype == bool else a.view(np.int64)
+    new = np.empty(len(a), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    heads = np.count_nonzero(new)
+    if 2 * heads > len(a):
+        return spec, a.tolist()
+    text = (((spec + "\n") * heads) % tuple(a[new].tolist())).split("\n")
+    return "%s", np.array(text, dtype=object)[np.cumsum(new) - 1].tolist()
+
+
 def _blocks(columns: list) -> Iterator[str]:
     """The rows of parallel columns as text, each row ended by a newline, one
-    string per block of rows: float arrays as ``%.17g`` (the bytes of
-    ``f"{x:.17g}"``), bool arrays as 0/1, lists of strings as they are. Each
-    block is formatted by a single ``%``."""
-    fmt = ",".join(
-        "%s" if not isinstance(c, np.ndarray) else "%d" if c.dtype == bool else "%.17g"
-        for c in columns
-    ) + "\n"
+    string per block of `_CHUNK_ROWS` rows: float arrays as ``%.17g`` (the
+    bytes of ``f"{x:.17g}"``), bool arrays as 0/1, lists of strings as they
+    are. Each block is formatted by a single ``%``; an array column whose
+    block is at least half repeats formats each run once (`_block_column`)."""
+    specs = ["%s" if not isinstance(c, np.ndarray) else "%d" if c.dtype == bool else "%.17g"
+             for c in columns]
     n = len(columns[0])
     for lo in range(0, n, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n)
-        block = [c[lo:hi].tolist() if isinstance(c, np.ndarray) else c[lo:hi]
-                 for c in columns]
+        block_specs, block = zip(*(
+            _block_column(c[lo:hi], s) if isinstance(c, np.ndarray) else (s, c[lo:hi])
+            for c, s in zip(columns, specs)))
+        fmt = ",".join(block_specs) + "\n"
         yield (fmt * (hi - lo)) % tuple(chain.from_iterable(zip(*block)))
 
 
@@ -120,10 +138,12 @@ def _formatted(columns: list) -> list[str]:
 
 
 def _write_csv(path: Path, header: str, columns: list) -> None:
-    """Write parallel columns under a header line, formatted by `_blocks`.
-    Besides the regime names, the string columns that arrive hold floats
-    already formatted by `_formatted`: the region's sigma1 and eta_a1 axes,
-    and the t,eta_a,eta_b lead that both files of `simulate --both` share."""
+    """Write parallel columns under a header line, formatted by `_blocks`: a
+    block of an array column that is at least half repeats of the row above
+    formats each run of equal values once. Besides the regime names, the
+    string columns that arrive hold floats already formatted by `_formatted`:
+    the region's sigma1 and eta_a1 axes, and the t,eta_a,eta_b lead that both
+    files of `simulate --both` share."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         fh.writelines(_blocks(columns))

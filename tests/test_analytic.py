@@ -359,3 +359,42 @@ def test_boundary_start_with_positive_drift_counts_as_above():
     econ = GoodEconomy(p_a=2.0, p_b=1.0, c_a=1.0, c_b=1.0, sigma=1.0)
     traj = simulate_analytic(NormalizedState(1.0, 0.5), econ, 5.0)
     assert traj.segments[0].regime is Regime.A_EXPORTS
+
+
+def test_crossing_bisection_evaluates_each_time_once(monkeypatch):
+    # `settled` reuses the excess that `past` found at the bracket's upper
+    # end: each crossing bisection evaluates the form (one exp each) once per
+    # distinct time it tests
+    exp_calls = 0
+    real_exp = math.exp
+
+    def counting_exp(x):
+        nonlocal exp_calls
+        exp_calls += 1
+        return real_exp(x)
+
+    bisections = []
+
+    def watched_bisect(past, lo, hi, tol=0.0, settled=None):
+        if settled is None:  # the extremum search, not a crossing
+            return analytic_bisect(past, lo, hi, tol)
+        times = set()
+
+        def seen(test):
+            return lambda t: times.add(t) or test(t)
+
+        before = exp_calls
+        found = analytic_bisect(seen(past), lo, hi, tol, settled=seen(settled))
+        bisections.append((exp_calls - before, len(times)))
+        return found
+
+    analytic_bisect = analytic.bisect
+    monkeypatch.setattr(math, "exp", counting_exp)
+    monkeypatch.setattr(analytic, "bisect", watched_bisect)
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        econ = _random_econ(rng)
+        s0 = NormalizedState(*rng.uniform(0.6, 1.4, size=2))
+        simulate_analytic(s0, econ, 2.0, event_tol=float(rng.choice([1e-10, 1e-6])))
+    assert len(bisections) >= 50
+    assert [calls for calls, _ in bisections] == [distinct for _, distinct in bisections]

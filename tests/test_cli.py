@@ -270,6 +270,92 @@ def test_write_csv_matches_per_value_rendering(tmp_path, n):
     assert path.read_bytes() == expected.encode()
 
 
+def test_write_csv_with_runs_matches_per_value_rendering(tmp_path):
+    # four blocks, the last of one row: in `paired` the first block is
+    # exactly half repeats (run heads only), the second one repeat short of
+    # it (every value), and a run of 1/3 crosses into the last block
+    size = cli._CHUNK_ROWS
+    n = 3 * size + 1
+    paired = np.concatenate([np.repeat(np.arange(size // 2) / 7, 2),
+                             np.repeat(np.arange(size // 2) / 11 + 1.0, 2),
+                             np.full(size + 1, 1 / 3)])
+    paired[2 * size - 1] = -5.0
+    assert cli._block_column(paired[:size], "%.17g")[0] == "%s"
+    assert cli._block_column(paired[size:2 * size], "%.17g")[0] == "%.17g"
+    zeros = np.zeros(n)
+    zeros[::97] = -0.0  # -0.0 prints apart from the 0.0 runs around it
+    zeros[500:510] = -0.0
+    zeros[3000:3005] = 5e-324
+    reference = np.empty((n, 2))
+    reference[:, 0] = np.resize(np.repeat(AWKWARD, 300), n)
+    reference[:, 1] = np.random.default_rng(3).standard_normal(n)
+    flags = (np.arange(n) // 700) % 2 == 0
+    regimes = [list(Regime)[i // 1000 % len(Regime)].value for i in range(n)]
+    columns = [paired, zeros, reference[:, 0], regimes, flags, reference[:, 1]]
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, "a,b,c,d,e,f", columns)
+    expected = _per_value_csv("a,b,c,d,e,f", [c.tolist() if isinstance(c, np.ndarray) else c
+                                              for c in columns])
+    assert path.read_bytes() == expected.encode()
+
+
+ANALYTIC_MONEY = """[model]
+kind = one-good
+
+[good1]
+p_a = 1.5
+p_b = 0.5
+c_a = 1
+c_b = 1
+sigma = 1
+
+[prices1]
+x_a = 1
+x_b = 3
+y = 2
+
+[initial]
+eta_a = 2.75
+eta_b = 1.75
+m_a = 0.5
+m_b = -0.25
+
+[solver]
+horizon = 100
+step = 0.01
+"""
+
+
+def test_analytic_money_file_matches_per_value_rendering(tmp_path, monkeypatch):
+    # off the export fixed point (1.5, eta_b) the stocks settle to constants
+    # long before the horizon, so the tail blocks of eta_a, eta_b and f are runs
+    fired = []  # per array-column block: were only the run heads formatted?
+    block_column = cli._block_column
+
+    def watched(a, spec):
+        written = block_column(a, spec)
+        fired.append(written[0] != spec)
+        return written
+
+    monkeypatch.setattr(cli, "_block_column", watched)
+    path = tmp_path / "run.scenario"
+    path.write_text(ANALYTIC_MONEY)
+    sc = parse_scenario(path)
+    traj = simulate_analytic(sc.initial, sc.good1, sc.solver.horizon,
+                             event_tol=sc.solver.event_tol)
+    series = cli._analytic_series(traj, sc.good1, sc.prices1, sc.initial_money, sc.solver.step)
+    out = tmp_path / "run.csv"
+    assert main(["simulate", str(path), "--analytic", "--out", str(out)]) == EXIT_OK
+    flow = [exchange_flow(NormalizedState(a, b))
+            for a, b in zip(series.eta_a.tolist(), series.eta_b.tolist())]
+    expected = _per_value_csv(
+        "t,eta_a,eta_b,regime,f,m_a,m_b",
+        [series.times.tolist(), series.eta_a.tolist(), series.eta_b.tolist(),
+         [r.value for r in series.regimes], flow, series.m_a.tolist(), series.m_b.tolist()])
+    assert out.read_bytes() == expected.encode()
+    assert any(fired) and not all(fired)
+
+
 def test_compare_file_matches_per_value_rendering(tmp_path):
     sc = parse_scenario(SCENARIO_DIR / "crossing.scenario")
     numeric = integrate_with_events(sc.initial, sc.good1, sc.solver)
