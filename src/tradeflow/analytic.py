@@ -256,43 +256,34 @@ def _ok(form: ExpLinear, above: bool, t: float) -> bool:
     return g > 0.0 if above else g <= 0.0
 
 
+def _on_guard(g: float) -> bool:
+    """``settled`` of the crossing bisection: the excess at bisect's upper
+    end is within the guard tolerance."""
+    return abs(g) <= GUARD_STATE_TOL
+
+
 def _bisect_crossing(form: ExpLinear, above: bool, lo: float, hi: float, tol: float) -> float:
     """Shrink a bracket (side holds at lo, violated at hi) and return the
     violated endpoint, refining past tol until the stock sits on the guard."""
     # Each test is one call that evaluates ``form.value(t) - 1.0`` inline, in
     # the same operations; with coef == 0, rate 0 makes the exp term exactly
-    # 0.0 at every finite t, as in value's affine case. The excess at the
-    # bracket's upper end is kept for ``settled``, so no time is evaluated twice.
+    # 0.0 at every finite t, as in value's affine case. Past the crossing it
+    # returns the excess, which bisect keeps for ``settled``.
     c, s, a, r = form.const, form.slope, form.coef, form.rate
     if a == 0.0:
         r = 0.0
     exp = math.exp
-    g_hi = None  # the excess at bisect's current hi, once evaluated there
 
     if above:
         def past(t):
-            nonlocal g_hi
             g = c + s * t + a * exp(-r * t) - 1.0
-            if g > 0.0:
-                return False
-            g_hi = g
-            return True
+            return None if g > 0.0 else g
     else:
         def past(t):
-            nonlocal g_hi
             g = c + s * t + a * exp(-r * t) - 1.0
-            if g <= 0.0:
-                return False
-            g_hi = g
-            return True
+            return g if g > 0.0 else None
 
-    def settled(t):
-        nonlocal g_hi
-        if g_hi is None:  # hi is still the bracket's initial upper end
-            g_hi = c + s * t + a * exp(-r * t) - 1.0
-        return abs(g_hi) <= GUARD_STATE_TOL
-
-    return bisect(past, lo, hi, tol, settled=settled)[1]
+    return bisect(past, lo, hi, tol, _on_guard)[1]
 
 
 def _interior_extremum(form: ExpLinear, lo: float, hi: float, tol: float) -> float | None:
@@ -305,7 +296,8 @@ def _interior_extremum(form: ExpLinear, lo: float, hi: float, tol: float) -> flo
     if not (d_lo < 0.0 < d_hi or d_hi < 0.0 < d_lo):
         return None
     lo_sign = d_lo < 0.0
-    return bisect(lambda t: (form.derivative(t) < 0.0) != lo_sign, lo, hi, tol)[1]
+    return bisect(lambda t: (form.derivative(t) < 0.0) != lo_sign or None, lo, hi, tol,
+                  at_hi=True)[1]
 
 
 def _first_violation(form: ExpLinear, above: bool, dt_max: float, tol: float) -> float | None:

@@ -5,12 +5,15 @@ each country contributes its excess stock above the threshold, and the net
 flow is the difference of the two excesses. The flow is continuous, so the
 branch convention at the threshold never changes a trajectory. It also owns
 the location of threshold crossings: one bracketing bisection and the
-residual a localized crossing may leave.
+residual a localized crossing may leave. The bisection also owns its
+bracket's upper end: the value its ``past`` test returned there (an RK4 state
+and guard, a closed-form excess, or just True) is kept for ``settled`` and
+returned with the bracket, so no caller evaluates a point twice.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -18,6 +21,8 @@ from .core import GoodEconomy, NormalizedState, Regime
 
 __all__ = ["GUARD_STATE_TOL", "bisect", "exchange_flow", "flow_array", "regime_from_sides",
            "rhs"]
+
+_T = TypeVar("_T")
 
 #: Residual |eta - guard| allowed at a localized crossing.
 GUARD_STATE_TOL = 1e-9
@@ -60,19 +65,34 @@ def rhs(state: NormalizedState, econ: GoodEconomy) -> tuple[float, float]:
     return econ.p_a - econ.c_a - s, econ.p_b - econ.c_b + s
 
 
-def bisect(past: Callable[[float], bool], lo: float, hi: float, tol: float = 0.0,
-           settled: Callable[[float], bool] | None = None) -> tuple[float, float]:
-    """Shrink a bracket (``past`` false at lo, true at hi) until its width is
-    at most ``tol`` and ``settled(hi)`` holds (or ``settled`` is None), or
-    until the midpoint no longer splits it. Returns the final (lo, hi)."""
+def bisect(past: Callable[[float], _T | None], lo: float, hi: float, tol: float = 0.0,
+           settled: Callable[[_T], bool] | None = None,
+           at_hi: _T | None = None) -> tuple[float, float, _T]:
+    """Shrink a bracket around the switch of ``past``: None at lo and before
+    the switch, past it the value its caller needs (never None). ``at_hi`` is
+    that value at the initial hi when the caller already has it.
+
+    Stops once the width is at most ``tol`` and ``settled`` holds for the
+    value at hi (or ``settled`` is None), or once the midpoint no longer
+    splits the bracket. ``past`` runs at most once per point and never at lo.
+    Returns the final (lo, hi, value at hi)."""
     while True:
         width = hi - lo
-        if width <= tol and (settled is None or settled(hi)):
-            return lo, hi
+        if width <= tol:
+            if settled is None:
+                break
+            if at_hi is None:
+                at_hi = past(hi)
+            if settled(at_hi):
+                break
         mid = lo + 0.5 * width
         if mid <= lo or mid >= hi:
-            return lo, hi
-        if past(mid):
-            hi = mid
-        else:
+            break
+        value = past(mid)
+        if value is None:
             lo = mid
+        else:
+            hi, at_hi = mid, value
+    if at_hi is None:
+        at_hi = past(hi)
+    return lo, hi, at_hi

@@ -2,14 +2,16 @@
 
 Serves as the independent numeric oracle for the closed-form engine.
 Threshold crossings (and, under the halt policy, stock depletion) are
-localized inside a step by bisection on single partial steps, recorded as
-typed :class:`~tradeflow.core.Event` records (kind ``crossing`` or
-``depletion``; ``clamp`` under the clamp-to-zero policy), and integration
-restarts from the crossing. Only the halt policy emits ``depletion``, and
-that event ends the series. The loop runs the full step's four stages
-inline; a flow-free step, a full step on which every stage point sits at or
-below the threshold, takes the exact increment the kernel would return
-there without running it.
+localized inside a step by one bisection on single partial steps for every
+guard that changed side in it, recorded as typed
+:class:`~tradeflow.core.Event` records (kind ``crossing`` or ``depletion``;
+``clamp`` under the clamp-to-zero policy), and integration restarts from the
+crossing. The earliest guard wins; on a tie, the first in the order eta_a
+crossing, eta_a depletion, eta_b crossing, eta_b depletion, and only it is
+recorded. Only the halt policy emits ``depletion``, and that event ends the
+series. The loop runs the full step's four stages inline; a flow-free step,
+a full step on which every stage point sits at or below the threshold, takes
+the exact increment the kernel would return there without running it.
 
 Money extends the fixed-point money rates to arbitrary states: each country
 spends its production cost per unit produced and earns the market price on
@@ -188,32 +190,32 @@ def rk4_step(state: NormalizedState, econ: GoodEconomy, h: float) -> NormalizedS
     return NormalizedState(*_make_rk4(econ)(state.eta_a, state.eta_b, h))
 
 
-def _bisect_guard(rk4, ea: float, eb: float, idx: int, target: float, above0: bool,
-                  h_step: float, tol: float):
-    """Earliest partial-step length from (ea, eb) at which component ``idx``
-    has left the side it held at the step start; returns (tau, state tuple at
-    tau), with the state strictly past the crossing. The kernel runs at most
-    once per length: the state at the bracket's upper end is kept for
-    ``settled`` and for the result."""
-    y_hi = None  # the state at bisect's current hi, once the kernel has run there
+def _on_guard(found) -> bool:
+    """``settled`` of the event bisection: the state at bisect's upper end sits
+    on the guard it has passed."""
+    y, (idx, target, *_) = found
+    return abs(y[idx] - target) <= GUARD_STATE_TOL
+
+
+def _locate_event(rk4, ea: float, eb: float, flipped: list, h_step: float, tol: float,
+                  y_step: tuple[float, float]):
+    """One bisection from (ea, eb) for every guard in ``flipped``, each a
+    (idx, target, above0, kind, stock, detail) whose component left the side
+    it held at the step start by the full length ``h_step``, where the state
+    is ``y_step`` (the loop's step end, bit-equal to the kernel's). Returns (tau, state at tau, guard): the earliest length at
+    which some guard has left its side, and the first such guard in list
+    order, with the state strictly past its crossing. The kernel runs at most
+    once per length."""
 
     def past(h):
-        nonlocal y_hi
         y = rk4(ea, eb, h)
-        if (y[idx] > target) != above0:
-            y_hi = y  # h becomes the new hi
-            return True
-        return False
+        for guard in flipped:
+            if (y[guard[0]] > guard[1]) != guard[2]:
+                return y, guard
+        return None
 
-    def at_hi(h):
-        nonlocal y_hi
-        if y_hi is None:  # hi is still h_step
-            y_hi = rk4(ea, eb, h)
-        return y_hi
-
-    _, tau = bisect(past, 0.0, h_step, tol,
-                    settled=lambda h: abs(at_hi(h)[idx] - target) <= GUARD_STATE_TOL)
-    return tau, at_hi(tau)
+    _, tau, (y, guard) = bisect(past, 0.0, h_step, tol, _on_guard, (y_step, flipped[0]))
+    return tau, y, guard
 
 
 def integrate_with_events(
@@ -348,20 +350,21 @@ def integrate_with_events(
             t = t_new
             continue
 
-        # Every guard crossing inside this step (rare path); the earliest wins,
-        # and on equal times the first found.
-        hits = []
+        # Some guard changed side inside this step (rare path): one bisection
+        # for all of them, in the order eta_a crossing, eta_a depletion, eta_b
+        # crossing, eta_b depletion. The earliest wins, and on equal lengths
+        # the first. The fast-path test above and this list use the same
+        # conditions, so the list is never empty.
+        flipped = []
         for idx, name, v0, v1 in ((0, "eta_a", ea, e1a), (1, "eta_b", eb, e1b)):
             above0 = v0 > 1.0
             if (v1 > 1.0) != above0:
-                hits.append((*_bisect_guard(rk4, ea, eb, idx, 1.0, above0, h_step, tol),
-                             "crossing", name, "downward" if above0 else "upward"))
+                flipped.append((idx, 1.0, above0, "crossing", name,
+                                "downward" if above0 else "upward"))
             if halt and v0 >= 0.0 > v1:
-                hits.append((*_bisect_guard(rk4, ea, eb, idx, 0.0, True, h_step, tol),
-                             "depletion", name, "reached zero"))
-        if not hits:  # a side flipped, so some bisection must bracket
-            raise RuntimeError(f"guard flip at t={t!r} but no crossing localized")
-        tau, y_at, kind, name, detail = min(hits, key=lambda hit: hit[0])
+                flipped.append((idx, 0.0, True, "depletion", name, "reached zero"))
+        tau, y_at, (_, _, _, kind, name, detail) = _locate_event(
+            rk4, ea, eb, flipped, h_step, tol, (e1a, e1b))
         t_ev = t + tau
         if t_ev > horizon:
             t_ev = horizon

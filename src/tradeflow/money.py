@@ -226,8 +226,9 @@ def feasibility_check(
     at the transfer intensity k = sigma1*(eta_a1 - 1). Boundary values (rates
     exactly zero) count as feasible.
 
-    ``eta_a1`` defaults to the scenario's fixed-point stock; the region
-    scanner overrides it per grid node.
+    ``eta_a1`` defaults to the scenario's fixed-point stock. This is the
+    per-node reference: the region scan never calls it, but evaluates the
+    same rates over the whole grid in one vectorized pass, bit-identical to it.
     """
     if not (sigma1 >= 0.0) or not math.isfinite(sigma1):
         raise ValueError(f"sigma1 must be >= 0 and finite, got {sigma1!r}")

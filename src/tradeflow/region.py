@@ -170,7 +170,8 @@ def _switch(pred: Callable[[float], bool]) -> tuple[float, float]:
         hi *= 2.0
         if hi > _BRACKET_CAP:
             return math.inf, math.inf
-    return bisect(pred, lo, hi)
+    lo, hi, _ = bisect(lambda k: pred(k) or None, lo, hi, at_hi=True)
+    return lo, hi
 
 
 def feasible_k_interval(s: TwoGoodScenario) -> KInterval:

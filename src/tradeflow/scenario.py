@@ -84,43 +84,53 @@ class Scenario:
 
 
 class _SectionReader:
-    """Typed key access over one section, appending problems as it goes."""
+    """Typed key access over one section, appending problems as it goes.
+
+    A missing required key or a value that does not parse stops the section:
+    ``build`` then constructs nothing, so no default stands in for a bad value
+    and no later check reports on a number the file never held."""
 
     def __init__(self, cp: configparser.ConfigParser, section: str, problems: list[str]):
         self.section = section
         self.present = cp.has_section(section)
         self.raw = dict(cp[section]) if self.present else {}
         self.problems = problems
+        self.stopped = False
 
-    def _value(self, key: str):
-        return self.raw.get(key)
+    def _read(self, key: str, convert, what: str, default, required: bool):
+        raw = self.raw.get(key)
+        if raw is None:
+            if required:
+                self.problems.append(f"[{self.section}]: missing required key '{key}'")
+                self.stopped = True
+            return default
+        try:
+            return convert(raw)
+        except ValueError:
+            self.problems.append(f"[{self.section}].{key}: not {what}: {raw!r}")
+            self.stopped = True
+            return None
 
     def get_float(self, key: str, default: float | None = None, required: bool = False) -> float | None:
-        raw = self._value(key)
-        if raw is None:
-            if required:
-                self.problems.append(f"[{self.section}]: missing required key '{key}'")
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            self.problems.append(f"[{self.section}].{key}: not a number: {raw!r}")
-            return default
+        return self._read(key, float, "a number", default, required)
 
     def get_int(self, key: str, required: bool = False) -> int | None:
-        raw = self._value(key)
-        if raw is None:
-            if required:
-                self.problems.append(f"[{self.section}]: missing required key '{key}'")
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            self.problems.append(f"[{self.section}].{key}: not an integer: {raw!r}")
-            return None
+        return self._read(key, int, "an integer", None, required)
 
     def has(self, key: str) -> bool:
         return key in self.raw
+
+    def build(self, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, or None if the section has stopped or
+        ``make`` raises ValueError, which is reported against the section."""
+        if self.stopped:
+            return None
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            self.problems.append(f"[{self.section}]: {exc}")
+            self.stopped = True
+            return None
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -224,7 +234,7 @@ def _parse_good(cp, section, exporter, required, default_eta, problems):
     if gives_p:
         p_a = r.get_float("p_a", required=True)
         p_b = r.get_float("p_b", required=True)
-        if eta_star is not None or None in (c_a, c_b, sigma, p_a, p_b):
+        if eta_star is not None:
             return None, None
     else:
         if eta_star is None:
@@ -234,20 +244,13 @@ def _parse_good(cp, section, exporter, required, default_eta, problems):
                 )
                 return None, None
             eta_star = _DEFAULT_ETA_STAR
-        if c_a is None or c_b is None or sigma is None:
-            return None, None
         c_exp, c_imp = (c_a, c_b) if exporter == "a" else (c_b, c_a)
-        try:
-            p_exp, p_imp = fixed_point_production(eta_star, c_exp, c_imp, sigma)
-        except ValueError as exc:
-            problems.append(f"[{section}]: {exc}")
+        production = r.build(fixed_point_production, eta_star, c_exp, c_imp, sigma)
+        if production is None:
             return None, None
+        p_exp, p_imp = production
         p_a, p_b = (p_exp, p_imp) if exporter == "a" else (p_imp, p_exp)
-    try:
-        return GoodEconomy(p_a=p_a, p_b=p_b, c_a=c_a, c_b=c_b, sigma=sigma), eta_star
-    except ValueError as exc:
-        problems.append(f"[{section}]: {exc}")
-        return None, None
+    return r.build(GoodEconomy, p_a=p_a, p_b=p_b, c_a=c_a, c_b=c_b, sigma=sigma), eta_star
 
 
 def _parse_prices(cp, section, required, problems):
@@ -256,16 +259,8 @@ def _parse_prices(cp, section, required, problems):
         if required:
             problems.append(f"missing [{section}] section")
         return None
-    x_a = r.get_float("x_a", required=True)
-    x_b = r.get_float("x_b", required=True)
-    y = r.get_float("y", required=True)
-    if x_a is None or x_b is None or y is None:
-        return None
-    try:
-        return PriceSet(x_a=x_a, x_b=x_b, y=y)
-    except ValueError as exc:
-        problems.append(f"[{section}]: {exc}")
-        return None
+    return r.build(PriceSet, x_a=r.get_float("x_a", required=True),
+                   x_b=r.get_float("x_b", required=True), y=r.get_float("y", required=True))
 
 
 def _parse_initial(cp, problems):
@@ -276,44 +271,35 @@ def _parse_initial(cp, problems):
     eta_b = r.get_float("eta_b", required=True)
     m_a = r.get_float("m_a", default=0.0)
     m_b = r.get_float("m_b", default=0.0)
-    if eta_a is None or eta_b is None:
-        return None, None
-    try:
-        return NormalizedState(eta_a, eta_b), MoneyState(m_a, m_b)
-    except ValueError as exc:
-        problems.append(f"[initial]: {exc}")
-        return None, None
+    return r.build(NormalizedState, eta_a, eta_b), r.build(MoneyState, m_a, m_b)
 
 
 def _parse_solver(cp, problems):
     r = _SectionReader(cp, "solver", problems)
     if not r.present:
         return None
-    horizon = r.get_float("horizon", required=True)
-    step = r.get_float("step", default=1e-3)
-    event_tol = r.get_float("event_tol", default=1e-10)
-    policy_raw = r.raw.get("depletion_policy", DepletionPolicy.HALT.value)
-    policy = _POLICIES.get(policy_raw)
-    if policy is None:
-        problems.append(
-            f"[solver].depletion_policy must be one of {sorted(_POLICIES)}, got {policy_raw!r}"
-        )
-        return None
-    if horizon is None or step is None or event_tol is None:
-        return None
-    try:
-        return SolverOptions(horizon=horizon, step=step, event_tol=event_tol,
-                             depletion_policy=policy)
-    except ValueError as exc:
-        problems.append(f"[solver]: {exc}")
-        return None
+    # SolverOptions owns the defaults of the keys the file leaves out.
+    given = {"horizon": r.get_float("horizon", required=True)}
+    for key in ("step", "event_tol"):
+        if r.has(key):
+            given[key] = r.get_float(key)
+    if r.has("depletion_policy"):
+        policy_raw = r.raw["depletion_policy"]
+        policy = _POLICIES.get(policy_raw)
+        if policy is None:
+            problems.append(f"[solver].depletion_policy must be one of {sorted(_POLICIES)}, "
+                            f"got {policy_raw!r}")
+            return None
+        given["depletion_policy"] = policy
+    return r.build(SolverOptions, **given)
 
 
 def _parse_grid(cp, problems):
     r = _SectionReader(cp, "grid", problems)
     if not r.present:
         return None
-    vals = dict(
+    return r.build(
+        GridSpec,
         sigma1_min=r.get_float("sigma1_min", required=True),
         sigma1_max=r.get_float("sigma1_max", required=True),
         sigma1_steps=r.get_int("sigma1_steps", required=True),
@@ -321,13 +307,6 @@ def _parse_grid(cp, problems):
         eta_max=r.get_float("eta_max", required=True),
         eta_steps=r.get_int("eta_steps", required=True),
     )
-    if any(v is None for v in vals.values()):
-        return None
-    try:
-        return GridSpec(**vals)
-    except ValueError as exc:
-        problems.append(f"[grid]: {exc}")
-        return None
 
 
 def _fmt(v: float) -> str:

@@ -362,9 +362,9 @@ def test_boundary_start_with_positive_drift_counts_as_above():
 
 
 def test_crossing_bisection_evaluates_each_time_once(monkeypatch):
-    # `settled` reuses the excess that `past` found at the bracket's upper
-    # end: each crossing bisection evaluates the form (one exp each) once per
-    # distinct time it tests
+    # bisect keeps the excess that `past` returned at the bracket's upper end
+    # and hands it to `settled`: each crossing bisection evaluates the form
+    # (one exp each) once per distinct time it tests
     exp_calls = 0
     real_exp = math.exp
 
@@ -375,16 +375,17 @@ def test_crossing_bisection_evaluates_each_time_once(monkeypatch):
 
     bisections = []
 
-    def watched_bisect(past, lo, hi, tol=0.0, settled=None):
+    def watched_bisect(past, lo, hi, tol=0.0, settled=None, at_hi=None):
         if settled is None:  # the extremum search, not a crossing
-            return analytic_bisect(past, lo, hi, tol)
+            return analytic_bisect(past, lo, hi, tol, at_hi=at_hi)
         times = set()
 
-        def seen(test):
-            return lambda t: times.add(t) or test(t)
+        def seen(t):
+            times.add(t)
+            return past(t)
 
         before = exp_calls
-        found = analytic_bisect(seen(past), lo, hi, tol, settled=seen(settled))
+        found = analytic_bisect(seen, lo, hi, tol, settled, at_hi)
         bisections.append((exp_calls - before, len(times)))
         return found
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tradeflow.core import GoodEconomy, NormalizedState, Regime
-from tradeflow.exchange import exchange_flow, flow_array, regime_from_sides, rhs
+from tradeflow.exchange import bisect, exchange_flow, flow_array, regime_from_sides, rhs
 
 etas = st.floats(-2.0, 4.0, allow_nan=False)
 rates = st.floats(0.0, 5.0, allow_nan=False)
@@ -102,3 +102,50 @@ def test_scalar_flow_is_bit_equal_to_the_array_flow():
     scalar = np.array([exchange_flow(NormalizedState(a, b))
                        for a, b in zip(eta_a.tolist(), eta_b.tolist())])
     assert scalar.tobytes() == flow_array(eta_a, eta_b).tobytes()
+
+
+@pytest.mark.parametrize("settle", ["none", "near the switch", "never"])
+@pytest.mark.parametrize("give_hi", [False, True])
+@given(lo=st.floats(-1e3, 1e3), width=st.floats(0.0, 1e3, exclude_min=True),
+       frac=st.floats(0.0, 1.0), tol=st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       near=st.floats(0.0, 1.0))
+def test_bisect_owns_the_value_at_its_upper_end(settle, give_hi, lo, width, frac, tol, near):
+    # a monotone switch: past(t) is None below it and, from it on, a fresh
+    # object naming t; bisect must test each point once, never lo, and hand
+    # settled and its caller the object past gave at the current hi
+    hi = lo + width
+    assume(hi > lo)
+    switch = lo + frac * (hi - lo)
+    if not lo < switch <= hi:  # rounded onto or past an end
+        switch = hi
+    values = {}
+
+    def past(t):
+        assert lo < t <= hi and t not in values
+        values[t] = None if t < switch else [t]
+        return values[t]
+
+    settled_args = []
+
+    def settled(value):
+        settled_args.append(value)
+        assert value is values[min(t for t, v in values.items() if v is not None)]
+        return settle == "near the switch" and value[0] - switch <= near * width
+
+    at_hi = None
+    if give_hi:
+        at_hi = values[hi] = [hi]
+    new_lo, new_hi, value = bisect(past, lo, hi, tol, None if settle == "none" else settled,
+                                   at_hi)
+    assert value is values[new_hi]
+    assert lo <= new_lo < switch <= new_hi <= hi
+    assert new_lo == lo or values[new_lo] is None
+    splits = new_lo < new_lo + 0.5 * (new_hi - new_lo) < new_hi
+    if settle == "none":
+        assert not splits or new_hi - new_lo <= tol
+        assert settled_args == []
+    elif settle == "never":
+        assert not splits
+    else:
+        assert not splits or (new_hi - new_lo <= tol and settled_args[-1] is value
+                              and new_hi - switch <= near * width)

@@ -468,6 +468,58 @@ def test_flow_free_stretches_match_pinned_digest():
     assert _series_digest(series_list) == PINNED_FLOW_FREE_DIGEST
 
 
+def _double_flip_draws(n=600, seed=21):
+    """Seeded integrations whose event steps often flip two guards at once:
+    symmetric economies from equal starts (both stocks cross together), both
+    stocks within 1e-9 of each other near 1, and steep declines that take a
+    stock through 1 and through 0 in one step under halt; both event
+    tolerances, with and without prices and money0."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        family = i % 3
+        if family == 0:
+            p, c = rng.uniform(0.0, 2.0, size=2)
+            econ = GoodEconomy(p, p, c, c, rng.uniform(0.0, 4.0))
+            ea = eb = rng.uniform(0.0, 2.0)
+            policy = _POLICIES[(i // 3) % 3]
+        elif family == 1:
+            econ = GoodEconomy(*rng.uniform(0.0, 2.0, size=4), rng.uniform(0.0, 4.0))
+            ea = 1.0 + rng.uniform(-0.05, 0.05)
+            eb = ea + rng.uniform(-1e-9, 1e-9)
+            policy = _POLICIES[(i // 3) % 3]
+        else:
+            p_a, p_b, c_b = rng.uniform(0.0, 2.0, size=3)
+            econ = GoodEconomy(p_a, p_b, p_a + rng.uniform(50.0, 300.0), c_b,
+                               rng.uniform(0.0, 4.0))
+            ea, eb = 1.0 + rng.uniform(0.0, 0.5), rng.uniform(0.0, 2.0)
+            policy = DepletionPolicy.HALT
+        prices = PriceSet(*rng.uniform(0.0, 3.0, size=3))
+        money0 = MoneyState(*rng.uniform(-2.0, 2.0, size=2))
+        opts = _opts(horizon=2.0, step=1e-2, event_tol=(1e-10, 1e-6)[(i // 2) % 2],
+                     depletion_policy=policy)
+        yield (NormalizedState(ea, eb), econ, opts, prices if i % 2 else None,
+               money0 if (i // 6) % 2 else None)
+
+
+# sha256 of _series_digest over _double_flip_draws(), taken while each flipped
+# guard still ran its own bisection: one bisection for all of them must not
+# move a bit
+PINNED_DOUBLE_FLIP_DIGEST = "2ef93f08e16bd5070280600d258500b496c2369dfc9c7d66271bcf04cfd43ed8"
+
+
+def test_double_flips_match_pinned_digest():
+    series_list = [integrate_with_events(*draw) for draw in _double_flip_draws()]
+    together = 0  # crossings at which both stocks sit on the threshold
+    for s in series_list:
+        for e in s.events:
+            k = int(np.searchsorted(s.times, e.t))
+            together += (e.kind == "crossing" and abs(s.eta_a[k] - 1.0) <= 1e-8
+                         and abs(s.eta_b[k] - 1.0) <= 1e-8)
+    assert together >= 50
+    assert {e.kind for s in series_list for e in s.events} == {"crossing", "depletion", "clamp"}
+    assert _series_digest(series_list) == PINNED_DOUBLE_FLIP_DIGEST
+
+
 # First line of the full-step kernel inline in the loop, and the first line
 # run once the loop has chosen its step (e1a, e1b) from (ea, eb).
 _FIRST_STAGE = "sf = sig * ((0.0 if ea < 1.0 else ea - 1.0)"
@@ -641,6 +693,19 @@ def test_bisection_runs_the_kernel_once_per_length(monkeypatch):
     tau, y_hi = [(h, y) for h, y in tried if y[0] > 1.0][-1]
     assert (series.eta_a[k], series.eta_b[k]) == y_hi
     assert series.times[k] == series.times[k - 1] + tau
+
+
+def test_a_double_flip_runs_the_kernel_once_per_length(monkeypatch):
+    # both stocks rise through 1 in the same step: one bisection serves both
+    # guards, and on the tie the eta_a crossing, found first, is the event
+    calls = _counting_kernel(monkeypatch)
+    econ = GoodEconomy(1.5, 1.5, 1.0, 1.0, 2.0)
+    series = integrate_with_events(NormalizedState(0.503, 0.503), econ,
+                                   _opts(horizon=1.5, step=1e-2))
+    assert series.events == [Event(series.events[0].t, "crossing", "eta_a", "upward")]
+    assert series.eta_a[-1] > 1.0 and series.eta_b[-1] > 1.0
+    assert len(calls) >= 20
+    assert len({(ea, eb, h) for ea, eb, h, _ in calls}) == len(calls)
 
 
 def _stepped(s0, econ, opts):

@@ -178,6 +178,21 @@ def test_every_problem_of_a_good_is_reported_in_key_order(body, problems):
     assert err.value.problems == problems
 
 
+def test_a_bad_step_is_not_checked_against_the_horizon_as_its_default():
+    text = ONE_GOOD.replace("horizon = 10", "horizon = 0.0001\nstep = x")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert err.value.problems == ["[solver].step: not a number: 'x'"]
+
+
+def test_a_bad_sigma_does_not_derive_productions_as_its_default():
+    text = ONE_GOOD.replace("p_a = 1.25\np_b = 1\n", "").replace(
+        "sigma = 1", "sigma = fast\neta_star = 3")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert err.value.problems == ["[good1].sigma: not a number: 'fast'"]
+
+
 @pytest.mark.parametrize("section", ["good1", "good2"])
 def test_eta_star_beyond_the_importers_consumption(section):
     if section == "good1":  # A exports good 1: outflow 2 exceeds c_b = 1
