@@ -11,6 +11,7 @@ import argparse
 import os
 import re
 import sys
+import warnings
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator
@@ -33,8 +34,9 @@ EXIT_DEPLETION = 3
 #: Largest analytic/numeric discrepancy tolerated by `simulate --both`.
 SUP_DISCREPANCY_TOL = 1e-6
 
-#: Rows formatted per `%` call by `_write_csv`; bounds the Python objects
-#: alive at once while keeping the per-call overhead negligible.
+#: Rows formatted per `%` call by `_blocks`; bounds the Python objects
+#: alive at once while keeping the per-call overhead negligible. `_text`
+#: formats a file of at least twice this many rows in two processes.
 _CHUNK_ROWS = 2048
 
 
@@ -117,7 +119,9 @@ def _blocks(columns: list) -> Iterator[str]:
     string per block of `_CHUNK_ROWS` rows: float arrays as ``%.17g`` (the
     bytes of ``f"{x:.17g}"``), bool arrays as 0/1, lists of strings as they
     are. Each block is formatted by a single ``%``; an array column whose
-    block is at least half repeats formats each run once (`_block_column`)."""
+    block is at least half repeats formats each run once (`_block_column`).
+    The writers call it through `_text`, which may run it on each half of
+    the rows in its own process."""
     specs = ["%s" if not isinstance(c, np.ndarray) else "%d" if c.dtype == bool else "%.17g"
              for c in columns]
     n = len(columns[0])
@@ -130,23 +134,76 @@ def _blocks(columns: list) -> Iterator[str]:
         yield (fmt * (hi - lo)) % tuple(chain.from_iterable(zip(*block)))
 
 
+def _text(columns: list) -> Iterator[str]:
+    """The text of `_blocks`, formatted on two cores when there are at least
+    2 * `_CHUNK_ROWS` rows, `os.fork` and two CPUs: a forked child formats
+    rows n//2 onwards and sends them through a pipe while this process
+    formats the first half. The bytes do not depend on the split, since each
+    value, run head or not, is formatted by the same spec. The child is
+    reaped on every exit path, also when the caller stops reading, and a
+    child that fails raises `OSError`."""
+    n = len(columns[0])
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    if n < 2 * _CHUNK_ROWS or len(cpus) < 2 or not hasattr(os, "fork"):
+        yield from _blocks(columns)
+        return
+    half = n // 2
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork of a process with more than one
+            # thread (here numpy's idle OpenBLAS thread): the child could
+            # deadlock on a lock that another thread held. The child runs no
+            # BLAS, takes no such lock and ends in os._exit, so it neither
+            # returns into the caller nor flushes this process's buffers.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no process to spare: format alone
+        os.close(r)
+        os.close(w)
+        yield from _blocks(columns)
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "w", encoding="utf-8") as sink:
+                sink.write("".join(_blocks([c[half:] for c in columns])))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        # The pipe closes before the wait, so that a child still writing stops.
+        with open(r, encoding="utf-8", newline="") as pipe:
+            yield from _blocks([c[:half] for c in columns])
+            yield from iter(lambda: pipe.read(1 << 20), "")
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise OSError(f"the process formatting rows {half} to {n - 1} failed "
+                      f"(exit status {code})")
+
+
 def _formatted(columns: list) -> list[str]:
     """One string per row of parallel columns, as `_write_csv` writes it but
     without the newline: a value written more than once is formatted once
     here and handed to `_write_csv` as a string column."""
-    return "".join(_blocks(columns)).split("\n")[:-1]
+    return "".join(_text(columns)).split("\n")[:-1]
 
 
 def _write_csv(path: Path, header: str, columns: list) -> None:
-    """Write parallel columns under a header line, formatted by `_blocks`: a
-    block of an array column that is at least half repeats of the row above
-    formats each run of equal values once. Besides the regime names, the
-    string columns that arrive hold floats already formatted by `_formatted`:
-    the region's sigma1 and eta_a1 axes, and the t,eta_a,eta_b lead that both
+    """Write parallel columns under a header line, formatted by `_blocks`
+    through `_text`, so in two processes from 2 * `_CHUNK_ROWS` rows: a block
+    of an array column that is at least half repeats of the row above formats
+    each run of equal values once. Besides the regime names, the string
+    columns that arrive hold floats already formatted by `_formatted`: the
+    region's sigma1 and eta_a1 axes, and the t,eta_a,eta_b lead that both
     files of `simulate --both` share."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(_blocks(columns))
+        fh.writelines(_text(columns))
 
 
 def _write_timeseries(path: Path, series: TimeSeries, lead: list) -> None:
@@ -282,10 +339,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
 
     lead = [series.times, series.eta_a, series.eta_b]
-    if args.mode == "both":  # the comparison file starts with the same columns
-        lead = [_formatted(lead)]
     path = out
     try:
+        if args.mode == "both":  # the comparison file starts with the same columns
+            lead = [_formatted(lead)]
         _write_timeseries(out, series, lead)
         print(f"wrote {len(series)} samples to {out}")
         for e in series.events:

@@ -299,6 +299,177 @@ def test_write_csv_with_runs_matches_per_value_rendering(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+FORKS = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+needs_fork = pytest.mark.skipif(not FORKS, reason="the two-process writer needs os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Let `_text` see two CPUs on any host and count the forks it makes; a
+    fork made in a child is counted in the child only."""
+    made = []
+    fork = os.fork
+
+    def counted():
+        made.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_columns(n):
+    # a run of 0.0 over row n//2, the child's first row, then runs of -0.0
+    # and 5e-324, which print apart from it
+    half = n // 2
+    runs = np.zeros(n)
+    runs[half + 1:half + 40] = -0.0
+    runs[half + 40:half + 90] = 5e-324
+    randoms = np.random.default_rng(n).standard_normal(n)
+    flags = (np.arange(n) // 300) % 2 == 0
+    regimes = [list(Regime)[i // 500 % len(Regime)].value for i in range(n)]
+    return [runs, regimes, randoms, flags]
+
+
+@needs_fork
+@pytest.mark.parametrize("n", [2 * cli._CHUNK_ROWS - 1, 2 * cli._CHUNK_ROWS,
+                               2 * cli._CHUNK_ROWS + 1])
+def test_split_writer_matches_per_value_rendering(tmp_path, forks, n):
+    columns = _split_columns(n)
+    expected = _per_value_csv("a,b,c,d", [c.tolist() if isinstance(c, np.ndarray) else c
+                                          for c in columns])
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, "a,b,c,d", columns)
+    assert path.read_bytes() == expected.encode()
+    assert cli._formatted(columns) == expected.split("\n")[1:-1]
+    assert len(forks) == (2 if n >= 2 * cli._CHUNK_ROWS else 0)
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("host", ["one_cpu", "no_fork", "fork_fails"])
+def test_writer_formats_alone_without_a_second_process(tmp_path, monkeypatch, host):
+    def refused():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    if host == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked on one CPU"))
+    elif host == "no_fork":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", refused)
+    fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
+    columns = _split_columns(2 * cli._CHUNK_ROWS + 1)
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, "a,b,c,d", columns)
+    assert path.read_bytes() == _per_value_csv(
+        "a,b,c,d", [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]).encode()
+    if fds:  # the pipe of a refused fork is closed
+        assert len(os.listdir("/proc/self/fd")) == len(fds)
+
+
+@needs_fork
+@pytest.mark.parametrize("command, scenario", [
+    ("simulate", "crossing.scenario"), ("region", "fig2.scenario"),
+])
+def test_failed_child_exits_with_one_write_error(tmp_path, capsys, monkeypatch, forks,
+                                                 command, scenario):
+    parent, blocks = os.getpid(), cli._blocks
+
+    def child_fails(columns):
+        if os.getpid() != parent:
+            raise MemoryError
+        yield from blocks(columns)
+
+    monkeypatch.setattr(cli, "_blocks", child_fails)
+    out = tmp_path / "out.csv"
+    assert main([command, str(SCENARIO_DIR / scenario), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+    assert forks
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_failed_parent_half_propagates_and_reaps_the_child(tmp_path, monkeypatch, forks):
+    parent, blocks = os.getpid(), cli._blocks
+
+    def parent_fails(columns):
+        if os.getpid() == parent:
+            raise RuntimeError("parent half")
+        yield from blocks(columns)
+
+    monkeypatch.setattr(cli, "_blocks", parent_fails)
+    with pytest.raises(RuntimeError, match="parent half"):
+        cli._write_csv(tmp_path / "out.csv", "a,b,c,d", _split_columns(5 * cli._CHUNK_ROWS))
+    assert forks
+    _assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_reaps_the_child(forks):
+    # the writer stops reading mid-file; the child, blocked on a full pipe,
+    # must still end and be reaped
+    with pytest.raises(OSError) as exc:
+        cli._write_csv(Path("/dev/full"), "a,b,c,d", _split_columns(40 * cli._CHUNK_ROWS))
+    assert exc.value.errno == errno.ENOSPC
+    assert forks
+    _assert_no_child_left()
+
+
+@needs_fork
+def test_fork_warning_of_newer_pythons_is_ignored(tmp_path, monkeypatch, forks):
+    # Python 3.12+ warns in the parent after forking a process with threads;
+    # under filterwarnings = error that would raise with the child running
+    fork = os.fork
+
+    def warning_fork():
+        pid = fork()
+        if pid:
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    columns = _split_columns(2 * cli._CHUNK_ROWS)
+    path = tmp_path / "out.csv"
+    cli._write_csv(path, "a,b,c,d", columns)
+    assert path.read_bytes() == _per_value_csv(
+        "a,b,c,d", [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]).encode()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+def test_cli_prints_each_line_once_to_a_pipe_or_a_file(tmp_path, stdout):
+    # the data and comparison files of 10k rows are formatted in two
+    # processes; a child that flushed the inherited stdout buffer or returned
+    # into the caller would print these lines twice
+    out = tmp_path / "run.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "tradeflow.cli", "simulate",
+            str(SCENARIO_DIR / "crossing.scenario"), "--both", "--out", str(out)]
+    with open(tmp_path / "stdout.txt", "w+") as fh:
+        proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE if stdout == "pipe" else fh,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+        fh.seek(0)
+        printed = (proc.stdout if stdout == "pipe" else fh.read()).splitlines()
+    assert proc.returncode == EXIT_OK, proc.stderr
+    wrote = [line for line in printed if line.startswith("wrote ")]
+    assert wrote == [f"wrote 10003 samples to {out}",
+                     f"wrote comparison to {tmp_path / 'run.compare.csv'}"]
+    assert len(printed) == len(set(printed))
+
+
 ANALYTIC_MONEY = """[model]
 kind = one-good
 
@@ -328,7 +499,10 @@ step = 0.01
 
 def test_analytic_money_file_matches_per_value_rendering(tmp_path, monkeypatch):
     # off the export fixed point (1.5, eta_b) the stocks settle to constants
-    # long before the horizon, so the tail blocks of eta_a, eta_b and f are runs
+    # long before the horizon, so the tail blocks of eta_a, eta_b and f are runs.
+    # On a host with two CPUs a forked child formats rows n//2 onwards of the
+    # 10k rows, and its calls stay in the child: `fired` then holds the blocks
+    # of rows [0, n//2) only, where the stocks have settled already.
     fired = []  # per array-column block: were only the run heads formatted?
     block_column = cli._block_column
 
