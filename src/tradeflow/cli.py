@@ -35,9 +35,18 @@ EXIT_DEPLETION = 3
 SUP_DISCREPANCY_TOL = 1e-6
 
 #: Rows formatted per `%` call by `_blocks`; bounds the Python objects
-#: alive at once while keeping the per-call overhead negligible. `_text`
-#: formats a file of at least twice this many rows in two processes.
+#: alive at once while keeping the per-call overhead negligible.
 _CHUNK_ROWS = 2048
+
+#: Values (rows times array columns) from which `_text` formats a file in two
+#: processes. A split costs a fork, the wait for the child and the page
+#: faults that the fork leaves to the rest of the process; it saves half the
+#: formatting. On a 2-core host at about 40 MB resident, a loop of one file
+#: formatted, a small op, a collection and a reference computation ran
+#: faster split in about half the pairs from 24576 to 40002 values, a wash,
+#: and in 15 to 19 of 16 to 20 pairs from 49152. No CLI file has more than 6
+#: array columns, so one under 8192 rows never splits.
+_SPLIT_VALUES = 49152
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,54 +145,59 @@ def _blocks(columns: list) -> Iterator[str]:
 
 def _text(columns: list) -> Iterator[str]:
     """The text of `_blocks`, formatted on two cores when there are at least
-    2 * `_CHUNK_ROWS` rows, `os.fork` and two CPUs: a forked child formats
-    rows n//2 onwards and sends them through a pipe while this process
-    formats the first half. The bytes do not depend on the split, since each
-    value, run head or not, is formatted by the same spec. The child is
-    reaped on every exit path, also when the caller stops reading, and a
-    child that fails raises `OSError`."""
+    `_SPLIT_VALUES` values, `os.fork` and two CPUs: a forked child formats
+    rows n//2 onwards into an unnamed temporary file, block by block, while
+    this process formats the first half; the child's text follows once it
+    has ended. The bytes do not depend on the split, since each value, run
+    head or not, is formatted by the same spec. The child is reaped on every
+    exit path, also when the caller stops reading, and a child that fails
+    raises `OSError`."""
     n = len(columns[0])
+    values = n * sum(isinstance(c, np.ndarray) for c in columns)
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if n < 2 * _CHUNK_ROWS or len(cpus) < 2 or not hasattr(os, "fork"):
+    if values < _SPLIT_VALUES or len(cpus) < 2 or not hasattr(os, "fork"):
         yield from _blocks(columns)
         return
+    import tempfile  # here, so that a command that never splits does not load it
+
     half = n // 2
-    r, w = os.pipe()
     try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork of a process with more than one
-            # thread (here numpy's idle OpenBLAS thread): the child could
-            # deadlock on a lock that another thread held. The child runs no
-            # BLAS, takes no such lock and ends in os._exit, so it neither
-            # returns into the caller nor flushes this process's buffers.
-            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except OSError:  # no process to spare: format alone
-        os.close(r)
-        os.close(w)
+        spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+    except OSError:  # no temporary file: format alone
         yield from _blocks(columns)
         return
-    if pid == 0:
-        code = 1
+    with spill:
         try:
-            os.close(r)
-            with open(w, "w", encoding="utf-8") as sink:
-                sink.write("".join(_blocks([c[half:] for c in columns])))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    try:
-        # The pipe closes before the wait, so that a child still writing stops.
-        with open(r, encoding="utf-8", newline="") as pipe:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns on a fork of a process with more than
+                # one thread (here numpy's idle OpenBLAS thread): the child
+                # could deadlock on a lock that another thread held. The
+                # child runs no BLAS, takes no such lock and ends in
+                # os._exit, so it neither returns into the caller nor
+                # flushes this process's buffers.
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+        except OSError:  # no process to spare: format alone
+            yield from _blocks(columns)
+            return
+        if pid == 0:
+            code = 1
+            try:
+                spill.writelines(_blocks([c[half:] for c in columns]))
+                spill.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        try:
             yield from _blocks([c[:half] for c in columns])
-            yield from iter(lambda: pipe.read(1 << 20), "")
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        raise OSError(f"the process formatting rows {half} to {n - 1} failed "
-                      f"(exit status {code})")
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0:
+            raise OSError(f"the process formatting rows {half} to {n - 1} failed "
+                          f"(exit status {code})")
+        spill.seek(0)  # the child's writes moved the offset both share
+        yield from iter(lambda: spill.read(1 << 16), "")
 
 
 def _formatted(columns: list) -> list[str]:
@@ -195,7 +209,7 @@ def _formatted(columns: list) -> list[str]:
 
 def _write_csv(path: Path, header: str, columns: list) -> None:
     """Write parallel columns under a header line, formatted by `_blocks`
-    through `_text`, so in two processes from 2 * `_CHUNK_ROWS` rows: a block
+    through `_text`, so in two processes from `_SPLIT_VALUES` values: a block
     of an array column that is at least half repeats of the row above formats
     each run of equal values once. Besides the regime names, the string
     columns that arrive hold floats already formatted by `_formatted`: the
@@ -432,11 +446,11 @@ def cmd_region(args: argparse.Namespace) -> int:
     total = scan.k.size
     # Row-major with sigma1 fastest: each axis node is formatted once, then
     # sigma1 is tiled across the rows and each eta_a1 repeated along its row.
-    sigma1 = _formatted([scan.sigma1])
-    eta_a1 = _formatted([scan.eta_a1])
     grid_columns = (scan.k, scan.dm_a, scan.dm_b, scan.p_a2, scan.p_b1, scan.feasible)
     path = out
     try:
+        sigma1 = _formatted([scan.sigma1])
+        eta_a1 = _formatted([scan.eta_a1])
         _write_csv(
             out,
             "sigma1,eta_a1,k,dm_a,dm_b,p_a2,p_b1,feasible",

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -319,14 +320,23 @@ def forks(monkeypatch):
     return made
 
 
+def _long_crossing(tmp_path):
+    # crossing.scenario over twice its horizon: with --both, the shared lead
+    # and the comparison file, 20003 rows of three float columns each, split
+    path = tmp_path / "long.scenario"
+    path.write_text((SCENARIO_DIR / "crossing.scenario").read_text().replace(
+        "horizon = 10\n", "horizon = 20\n"))
+    return path
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def _split_columns(n):
-    # a run of 0.0 over row n//2, the child's first row, then runs of -0.0
-    # and 5e-324, which print apart from it
+    # three array columns; a run of 0.0 over row n//2, the child's first row,
+    # then runs of -0.0 and 5e-324, which print apart from it
     half = n // 2
     runs = np.zeros(n)
     runs[half + 1:half + 40] = -0.0
@@ -337,9 +347,12 @@ def _split_columns(n):
     return [runs, regimes, randoms, flags]
 
 
+#: The fewest rows of `_split_columns` that `_text` splits (16384).
+SPLIT_ROWS = -(-cli._SPLIT_VALUES // 3)
+
+
 @needs_fork
-@pytest.mark.parametrize("n", [2 * cli._CHUNK_ROWS - 1, 2 * cli._CHUNK_ROWS,
-                               2 * cli._CHUNK_ROWS + 1])
+@pytest.mark.parametrize("n", [SPLIT_ROWS - 1, SPLIT_ROWS, SPLIT_ROWS + 1])
 def test_split_writer_matches_per_value_rendering(tmp_path, forks, n):
     columns = _split_columns(n)
     expected = _per_value_csv("a,b,c,d", [c.tolist() if isinstance(c, np.ndarray) else c
@@ -348,14 +361,14 @@ def test_split_writer_matches_per_value_rendering(tmp_path, forks, n):
     cli._write_csv(path, "a,b,c,d", columns)
     assert path.read_bytes() == expected.encode()
     assert cli._formatted(columns) == expected.split("\n")[1:-1]
-    assert len(forks) == (2 if n >= 2 * cli._CHUNK_ROWS else 0)
+    assert len(forks) == (2 if n >= SPLIT_ROWS else 0)
     _assert_no_child_left()
 
 
 @needs_fork
-@pytest.mark.parametrize("host", ["one_cpu", "no_fork", "fork_fails"])
+@pytest.mark.parametrize("host", ["one_cpu", "no_fork", "fork_fails", "no_temporary_file"])
 def test_writer_formats_alone_without_a_second_process(tmp_path, monkeypatch, host):
-    def refused():
+    def refused(*args, **kwargs):
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     if host == "one_cpu":
@@ -364,25 +377,38 @@ def test_writer_formats_alone_without_a_second_process(tmp_path, monkeypatch, ho
     elif host == "no_fork":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.delattr(os, "fork")
-    else:
+    elif host == "fork_fails":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(os, "fork", refused)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without a file"))
+        monkeypatch.setattr(tempfile, "TemporaryFile", refused)
     fds = os.listdir("/proc/self/fd") if os.path.isdir("/proc/self/fd") else []
-    columns = _split_columns(2 * cli._CHUNK_ROWS + 1)
+    columns = _split_columns(SPLIT_ROWS)
     path = tmp_path / "out.csv"
     cli._write_csv(path, "a,b,c,d", columns)
     assert path.read_bytes() == _per_value_csv(
         "a,b,c,d", [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]).encode()
-    if fds:  # the pipe of a refused fork is closed
+    if fds:  # the temporary file of a refused fork is closed
         assert len(os.listdir("/proc/self/fd")) == len(fds)
 
 
 @needs_fork
 @pytest.mark.parametrize("command, scenario", [
-    ("simulate", "crossing.scenario"), ("region", "fig2.scenario"),
+    ("simulate", "long crossing"), ("region", "fig2.scenario"), ("region", "long axis"),
 ])
 def test_failed_child_exits_with_one_write_error(tmp_path, capsys, monkeypatch, forks,
                                                  command, scenario):
+    # "long axis": a sigma1 axis long enough that formatting the axis alone,
+    # before the data file, splits
+    if scenario == "long axis":
+        path = tmp_path / "long.scenario"
+        path.write_text(_region_text(0.5, 10.0, cli._SPLIT_VALUES, 1.5, 10.0, 2))
+    elif scenario == "long crossing":
+        path = _long_crossing(tmp_path)
+    else:
+        path = SCENARIO_DIR / scenario
     parent, blocks = os.getpid(), cli._blocks
 
     def child_fails(columns):
@@ -392,7 +418,7 @@ def test_failed_child_exits_with_one_write_error(tmp_path, capsys, monkeypatch, 
 
     monkeypatch.setattr(cli, "_blocks", child_fails)
     out = tmp_path / "out.csv"
-    assert main([command, str(SCENARIO_DIR / scenario), "--out", str(out)]) == EXIT_INPUT
+    assert main([command, str(path), "--out", str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
     assert forks
@@ -410,7 +436,7 @@ def test_failed_parent_half_propagates_and_reaps_the_child(tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "_blocks", parent_fails)
     with pytest.raises(RuntimeError, match="parent half"):
-        cli._write_csv(tmp_path / "out.csv", "a,b,c,d", _split_columns(5 * cli._CHUNK_ROWS))
+        cli._write_csv(tmp_path / "out.csv", "a,b,c,d", _split_columns(2 * SPLIT_ROWS))
     assert forks
     _assert_no_child_left()
 
@@ -418,10 +444,10 @@ def test_failed_parent_half_propagates_and_reaps_the_child(tmp_path, monkeypatch
 @needs_fork
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_failed_write_reaps_the_child(forks):
-    # the writer stops reading mid-file; the child, blocked on a full pipe,
-    # must still end and be reaped
+    # the write fails while the child is still formatting its half; the
+    # child must still end and be reaped
     with pytest.raises(OSError) as exc:
-        cli._write_csv(Path("/dev/full"), "a,b,c,d", _split_columns(40 * cli._CHUNK_ROWS))
+        cli._write_csv(Path("/dev/full"), "a,b,c,d", _split_columns(4 * SPLIT_ROWS))
     assert exc.value.errno == errno.ENOSPC
     assert forks
     _assert_no_child_left()
@@ -441,23 +467,24 @@ def test_fork_warning_of_newer_pythons_is_ignored(tmp_path, monkeypatch, forks):
         return pid
 
     monkeypatch.setattr(os, "fork", warning_fork)
-    columns = _split_columns(2 * cli._CHUNK_ROWS)
+    columns = _split_columns(SPLIT_ROWS)
     path = tmp_path / "out.csv"
     cli._write_csv(path, "a,b,c,d", columns)
     assert path.read_bytes() == _per_value_csv(
         "a,b,c,d", [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]).encode()
+    assert forks
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("stdout", ["pipe", "file"])
 def test_cli_prints_each_line_once_to_a_pipe_or_a_file(tmp_path, stdout):
-    # the data and comparison files of 10k rows are formatted in two
-    # processes; a child that flushed the inherited stdout buffer or returned
-    # into the caller would print these lines twice
+    # a child that flushed the inherited stdout buffer or returned into the
+    # caller would print these lines twice
+    scenario = _long_crossing(tmp_path)
     out = tmp_path / "run.csv"
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    argv = [sys.executable, "-m", "tradeflow.cli", "simulate",
-            str(SCENARIO_DIR / "crossing.scenario"), "--both", "--out", str(out)]
+    argv = [sys.executable, "-m", "tradeflow.cli", "simulate", str(scenario), "--both",
+            "--out", str(out)]
     with open(tmp_path / "stdout.txt", "w+") as fh:
         proc = subprocess.run(argv, env=env, stdout=subprocess.PIPE if stdout == "pipe" else fh,
                               stderr=subprocess.PIPE, text=True, timeout=120)
@@ -465,7 +492,7 @@ def test_cli_prints_each_line_once_to_a_pipe_or_a_file(tmp_path, stdout):
         printed = (proc.stdout if stdout == "pipe" else fh.read()).splitlines()
     assert proc.returncode == EXIT_OK, proc.stderr
     wrote = [line for line in printed if line.startswith("wrote ")]
-    assert wrote == [f"wrote 10003 samples to {out}",
+    assert wrote == [f"wrote 20003 samples to {out}",
                      f"wrote comparison to {tmp_path / 'run.compare.csv'}"]
     assert len(printed) == len(set(printed))
 
