@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Event, GoodEconomy, NormalizedState, Regime
-from .exchange import GUARD_STATE_TOL, bisect, regime_from_sides, rhs
+from .exchange import GUARD_STATE_TOL, bisect, regime_from_sides, sides
 
 __all__ = [
     "ExpLinear",
@@ -34,6 +34,10 @@ __all__ = [
 #: form chatter at the threshold (an export equilibrium 1 + n/sigma that
 #: rounds to 1 with sigma above ~1e16*n) or a bug.
 MAX_SEGMENTS = 10_000
+
+#: Each stock with the regimes in which it is above the threshold.
+_ABOVE = (("eta_a", {regime_from_sides(True, b_above) for b_above in (False, True)}),
+          ("eta_b", {regime_from_sides(a_above, True) for a_above in (False, True)}))
 
 
 @dataclass(frozen=True)
@@ -198,8 +202,12 @@ class PiecewiseTrajectory:
 
     @property
     def events(self) -> list[Event]:
-        """One ``switch`` event per regime change, at the later segment's start."""
-        return [Event(seg.t_start, "switch", None, seg.regime) for seg in self.segments[1:]]
+        """One ``crossing`` per stock whose threshold side differs between two
+        adjacent segments, at the later segment's start; eta_a first."""
+        return [Event(seg.t_start, "crossing", stock, "upward" if up else "downward")
+                for before, seg in zip(self.segments, self.segments[1:])
+                for stock, above in _ABOVE
+                if (up := seg.regime in above) != (before.regime in above)]
 
     def segment_at(self, t: float) -> RegimeSegment:
         """The segment owning time t; boundaries belong to the later segment."""
@@ -305,8 +313,8 @@ def _first_violation(form: ExpLinear, above: bool, dt_max: float, tol: float) ->
     threshold, or None. Returns a point strictly past the crossing."""
     lo = 0.0
     if not _ok(form, above, 0.0):
-        # Segment starting on the guard (boundary state classified by its
-        # derivative); step just inside before bracketing.
+        # Segment starting on the guard (such as a stock at 1 that
+        # exchange.sides puts above); step just inside before bracketing.
         lo = min(tol, 0.5 * dt_max)
         if not _ok(form, above, lo):
             return lo
@@ -323,20 +331,6 @@ def _first_violation(form: ExpLinear, above: bool, dt_max: float, tol: float) ->
     if t_ext is None or _ok(form, above, t_ext):
         return None
     return _bisect_crossing(form, above, lo, t_ext, tol)
-
-
-def _initial_sides(state: NormalizedState, econ: GoodEconomy) -> tuple[bool, bool]:
-    """Threshold sides of the initial state; a stock exactly at threshold is
-    assigned by the sign of its derivative (the flow is continuous there)."""
-    a_above = state.eta_a > 1.0
-    b_above = state.eta_b > 1.0
-    if state.eta_a == 1.0 or state.eta_b == 1.0:
-        da, db = rhs(state, econ)
-        if state.eta_a == 1.0 and da > 0.0:
-            a_above = True
-        if state.eta_b == 1.0 and db > 0.0:
-            b_above = True
-    return a_above, b_above
 
 
 def simulate_analytic(
@@ -357,7 +351,7 @@ def simulate_analytic(
     if not (event_tol > 0.0):
         raise ValueError(f"event_tol must be positive, got {event_tol!r}")
 
-    a_above, b_above = _initial_sides(state0, econ)
+    a_above, b_above = sides(state0.eta_a, state0.eta_b, econ)
     segments: list[RegimeSegment] = []
     t = 0.0
     state = state0

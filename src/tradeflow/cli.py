@@ -102,8 +102,7 @@ def _load(path: str) -> Scenario | None:
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, "\n".join(lines), [[]])  # all of it as the header, no rows
 
 
 def _block_column(a: np.ndarray, spec: str) -> tuple[str, list]:
@@ -214,10 +213,16 @@ def _write_csv(path: Path, header: str, columns: list) -> None:
     each run of equal values once. Besides the regime names, the string
     columns that arrive hold floats already formatted by `_formatted`: the
     region's sigma1 and eta_a1 axes, and the t,eta_a,eta_b lead that both
-    files of `simulate --both` share."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        fh.writelines(_text(columns))
+    files of `simulate --both` share. A write that raises removes its file."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(header + "\n")
+            fh.writelines(_text(columns))
+    except BaseException:
+        if path.is_file():  # not a device such as /dev/full
+            path.unlink()
+        raise
 
 
 def _write_timeseries(path: Path, series: TimeSeries, lead: list) -> None:

@@ -106,7 +106,6 @@ class Regime(Enum):
 
 _EVENT_TEXT = {
     "crossing": "{stock} crossed the threshold {detail}",
-    "switch": "regime switch to {detail.value}",
     "depletion": "depletion: {stock} {detail}",
     "clamp": "clamped {stock} to zero",
 }
@@ -117,16 +116,16 @@ class Event:
     """A discrete event at time ``t`` on a trajectory; ``str()`` gives its text.
 
     ``kind`` is ``crossing`` (``stock`` crossed the threshold; ``detail`` is
-    ``upward`` or ``downward``), ``switch`` (the closed form entered the regime
-    ``detail``; no stock), ``depletion`` (``stock`` ``reached zero`` or was
-    ``negative at start``; ends the run) or ``clamp`` (``stock`` went negative
-    and was set to zero).
+    ``upward`` or ``downward``; both engines emit it, one per stock, so a tie
+    gives two at the same t, eta_a first), ``depletion`` (``stock``
+    ``reached zero`` or was ``negative at start``; ends the run) or ``clamp``
+    (``stock`` went negative and was set to zero).
     """
 
     t: float
     kind: str
     stock: str | None = None
-    detail: str | Regime | None = None
+    detail: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _EVENT_TEXT:

@@ -3,7 +3,8 @@
 This module is the single source of truth for the piecewise right-hand side:
 each country contributes its excess stock above the threshold, and the net
 flow is the difference of the two excesses. The flow is continuous, so the
-branch convention at the threshold never changes a trajectory. It also owns
+branch convention at the threshold never changes a trajectory; ``sides`` is
+the one rule both engines use to side a stock exactly at 1. It also owns
 the location of threshold crossings: one bracketing bisection and the
 residual a localized crossing may leave. The bisection also owns its
 bracket's upper end: the value its ``past`` test returned there (an RK4 state
@@ -20,7 +21,7 @@ import numpy as np
 from .core import GoodEconomy, NormalizedState, Regime
 
 __all__ = ["GUARD_STATE_TOL", "bisect", "exchange_flow", "flow_array", "regime_from_sides",
-           "rhs"]
+           "rhs", "sides"]
 
 _T = TypeVar("_T")
 
@@ -53,6 +54,15 @@ def regime_from_sides(a_above: bool, b_above: bool) -> Regime:
     if a_above:
         return Regime.BILATERAL if b_above else Regime.A_EXPORTS
     return Regime.B_EXPORTS if b_above else Regime.NO_EXCHANGE
+
+
+def sides(eta_a: float, eta_b: float, econ: GoodEconomy) -> tuple[bool, bool]:
+    """Whether each stock is above the threshold: ``eta > 1``, or at 1 with a positive
+    derivative, the side the field carries it into (Filippov 1988)."""
+    if eta_a != 1.0 and eta_b != 1.0:
+        return eta_a > 1.0, eta_b > 1.0
+    da, db = rhs(NormalizedState(eta_a, eta_b), econ)
+    return eta_a > 1.0 or (eta_a == 1.0 and da > 0.0), eta_b > 1.0 or (eta_b == 1.0 and db > 0.0)
 
 
 def rhs(state: NormalizedState, econ: GoodEconomy) -> tuple[float, float]:

@@ -6,11 +6,11 @@ localized inside a step by one bisection on single partial steps for every
 guard that changed side in it, recorded as typed
 :class:`~tradeflow.core.Event` records (kind ``crossing`` or ``depletion``;
 ``clamp`` under the clamp-to-zero policy), and integration restarts from the
-crossing. The earliest guard wins; on a tie, the first in the order eta_a
-crossing, eta_a depletion, eta_b crossing, eta_b depletion, and only it is
-recorded. Only the halt policy emits ``depletion``, and that event ends the
-series. The loop runs the full step's four stages inline; a flow-free step,
-a full step on which every stage point sits at or below the threshold, takes
+crossing, where ``exchange.sides`` sides the stocks as at the start. Every
+guard past at the earliest length is recorded, in the order eta_a crossing,
+eta_a depletion, eta_b crossing, eta_b depletion; a ``depletion`` (halt
+policy only) ends the series. The loop runs the full step's four stages
+inline; a flow-free step (every stage point at or below the threshold) takes
 the exact increment the kernel would return there without running it.
 
 Money extends the fixed-point money rates to arbitrary states: each country
@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Event, GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
-from .exchange import GUARD_STATE_TOL, bisect, flow_array, regime_from_sides
+from .exchange import GUARD_STATE_TOL, bisect, flow_array, regime_from_sides, sides
 from .money import money_holdings
 
 __all__ = [
@@ -202,10 +202,10 @@ def _locate_event(rk4, ea: float, eb: float, flipped: list, h_step: float, tol: 
     """One bisection from (ea, eb) for every guard in ``flipped``, each a
     (idx, target, above0, kind, stock, detail) whose component left the side
     it held at the step start by the full length ``h_step``, where the state
-    is ``y_step`` (the loop's step end, bit-equal to the kernel's). Returns (tau, state at tau, guard): the earliest length at
-    which some guard has left its side, and the first such guard in list
-    order, with the state strictly past its crossing. The kernel runs at most
-    once per length."""
+    is ``y_step`` (the loop's step end, bit-equal to the kernel's). Returns
+    (tau, state at tau, guards): the earliest length at which some guard has
+    left its side, and all that have left it there, in list order, the state
+    strictly past their crossings. The kernel runs at most once per length."""
 
     def past(h):
         y = rk4(ea, eb, h)
@@ -214,8 +214,8 @@ def _locate_event(rk4, ea: float, eb: float, flipped: list, h_step: float, tol: 
                 return y, guard
         return None
 
-    _, tau, (y, guard) = bisect(past, 0.0, h_step, tol, _on_guard, (y_step, flipped[0]))
-    return tau, y, guard
+    _, tau, (y, _) = bisect(past, 0.0, h_step, tol, _on_guard, (y_step, flipped[0]))
+    return tau, y, [g for g in flipped if (y[g[0]] > g[1]) != g[2]]
 
 
 def integrate_with_events(
@@ -255,6 +255,7 @@ def integrate_with_events(
         eb_arr = np.array(ebs, dtype=np.float64)
         del ts[:], eas[:], ebs[:]  # free them before the money pass (peak memory)
         regimes = _REGIME_LUT[(ea_arr > 1.0) + 2 * (eb_arr > 1.0)].tolist()
+        regimes[0] = regime_from_sides(*sides(ea_arr[0], eb_arr[0], econ))  # row 0 may sit at 1
         m_a = m_b = None
         if prices is not None:  # the step lengths' one reader is the money pass
             h = np.full(len(times) - 1, step)
@@ -295,6 +296,7 @@ def integrate_with_events(
     reach_a = step * ka if ka > 0.0 else 0.0
     reach_b = step * kb if kb > 0.0 else 0.0
 
+    a_above, b_above = sides(ea, eb, econ)
     t = 0.0
     while t < horizon:
         h_step = horizon - t
@@ -329,8 +331,8 @@ def integrate_with_events(
 
         # Fast path: no guard changed side inside this step.
         if (
-            ((e1a > 1.0) == (ea > 1.0))
-            and ((e1b > 1.0) == (eb > 1.0))
+            ((e1a > 1.0) == a_above)
+            and ((e1b > 1.0) == b_above)
             and not (halt and (ea >= 0.0 > e1a or eb >= 0.0 > e1b))
         ):
             t_new = t + h_step
@@ -352,26 +354,24 @@ def integrate_with_events(
 
         # Some guard changed side inside this step (rare path): one bisection
         # for all of them, in the order eta_a crossing, eta_a depletion, eta_b
-        # crossing, eta_b depletion. The earliest wins, and on equal lengths
-        # the first. The fast-path test above and this list use the same
+        # crossing, eta_b depletion. The earliest wins, with every guard past
+        # at its length. The fast-path test above and this list use the same
         # conditions, so the list is never empty.
         flipped = []
         for idx, name, v0, v1 in ((0, "eta_a", ea, e1a), (1, "eta_b", eb, e1b)):
-            above0 = v0 > 1.0
+            above0 = b_above if idx else a_above
             if (v1 > 1.0) != above0:
                 flipped.append((idx, 1.0, above0, "crossing", name,
                                 "downward" if above0 else "upward"))
             if halt and v0 >= 0.0 > v1:
                 flipped.append((idx, 0.0, True, "depletion", name, "reached zero"))
-        tau, y_at, (_, _, _, kind, name, detail) = _locate_event(
-            rk4, ea, eb, flipped, h_step, tol, (e1a, e1b))
+        tau, y_at, hits = _locate_event(rk4, ea, eb, flipped, h_step, tol, (e1a, e1b))
         t_ev = t + tau
         if t_ev > horizon:
             t_ev = horizon
-        event = Event(t_ev, kind, name, detail)
         if t_ev <= t:
             raise RuntimeError(
-                f"event localization stalled at t={t!r} ({event}); "
+                f"event localization stalled at t={t!r} ({Event(t_ev, *hits[0][3:])}); "
                 "cannot advance past the crossing"
             )
         ea, eb = y_at
@@ -379,9 +379,11 @@ def integrate_with_events(
         ts_app(t_ev)
         eas_app(ea)
         ebs_app(eb)
-        events.append(event)
-        t = t_ev
-        if event.kind == "depletion":
+        for _, _, _, kind, name, detail in hits:
+            events.append(Event(t_ev, kind, name, detail))
+        if any(guard[3] == "depletion" for guard in hits):
             return build()
+        t = t_ev
+        a_above, b_above = sides(ea, eb, econ)
 
     return build()

@@ -421,8 +421,25 @@ def test_failed_child_exits_with_one_write_error(tmp_path, capsys, monkeypatch, 
     assert main([command, str(path), "--out", str(out)]) == EXIT_INPUT
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+    assert not out.exists()  # no truncated file is left behind
     assert forks
     _assert_no_child_left()
+
+
+def test_a_write_that_fails_midway_leaves_no_file(tmp_path, capsys, monkeypatch):
+    blocks = cli._blocks
+
+    def first_block_then_full_disk(columns):
+        rows = blocks(columns)
+        yield next(rows)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "_blocks", first_block_then_full_disk)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", str(SCENARIO_DIR / "crossing.scenario"), "--numeric",
+                 "--out", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert not out.exists()
 
 
 @needs_fork
@@ -999,13 +1016,15 @@ CLAMPED = DEPLETING + "depletion_policy = clamp_to_zero\n"
 
 # sha256 of stdout, NUL, stderr, NUL, exit code of `simulate run.scenario
 # --MODE --out out.csv`: every event line, the depletion halt and the
-# discrepancy error, byte for byte. The closed-form switch times and the
+# discrepancy error, byte for byte. The closed-form crossing times and the
 # sup-norm take exp, so unlike PINNED_OUTPUTS these hold where exp rounds alike.
+# crossing-analytic was taken again when the closed form's regime switches
+# became per-stock crossings, at the same times.
 PINNED_STDOUT = {
     "crossing-numeric": (CROSSING, 0,
                          "cfba13f5b686dca40ddeb626a221a7a27fe603493e317ff208eca05a421bd3d8"),
     "crossing-analytic": (CROSSING, 0,
-                          "cedf7c9d4c6d2638dc5bf7d18d2ae6401ca23c09aca908f1cadd81abf1fb29a2"),
+                          "eb3fd16bc28af0131f0de81a8dd15e9f353ebfd895bc9cf9995e5fed7e7644a3"),
     "crossing-both": (CROSSING, 0,
                       "5a20f146b21ba4b4924899a6b8b0ca4466b4529634e42b1cf8f4b7ce0f1dab5a"),
     "depleting-numeric": (DEPLETING, EXIT_DEPLETION,
@@ -1017,6 +1036,21 @@ PINNED_STDOUT = {
     "clamped-both": (CLAMPED, EXIT_NUMERIC,
                      "f31e877662ea9b45eca564c868f4650da1ca02cf24b50cc55d09c3deb19fb1bb"),
 }
+
+
+@pytest.mark.parametrize("mode", ["analytic", "numeric"])
+def test_a_start_exactly_at_the_threshold_is_sided_by_its_derivative(tmp_path, capsys, mode):
+    # eta_a = 1 and rising: both engines start in a_exports, write the same 12
+    # samples and log only eta_b's crossing
+    path = tmp_path / "exact.scenario"
+    path.write_text(CROSSING.replace("eta_a = 0.5", "eta_a = 1").replace("step = 0.001",
+                                                                          "step = 1"))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", str(path), f"--{mode}", "--out", str(out)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"wrote 12 samples to {out}"
+    assert [line.split(": ", 1)[1] for line in lines[1:]] == ["eta_b crossed the threshold upward"]
+    assert out.read_text().splitlines()[1].split(",")[3] == "a_exports"
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_STDOUT))

@@ -4,7 +4,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from tradeflow.core import GoodEconomy, NormalizedState, Regime
-from tradeflow.exchange import bisect, exchange_flow, flow_array, regime_from_sides, rhs
+from tradeflow.exchange import bisect, exchange_flow, flow_array, regime_from_sides, rhs, sides
 
 etas = st.floats(-2.0, 4.0, allow_nan=False)
 rates = st.floats(0.0, 5.0, allow_nan=False)
@@ -37,6 +37,22 @@ def test_flow_examples(eta_a, eta_b, expected):
 )
 def test_classify_examples(eta_a, eta_b, expected):
     assert regime_from_sides(eta_a > 1.0, eta_b > 1.0) is expected
+
+
+@pytest.mark.parametrize(
+    "eta_a, eta_b, rates, expected",
+    [
+        (1.5, 0.5, (1.0, 1.0, 1.0, 1.0), (True, False)),   # off the threshold: eta > 1
+        (1.0, 0.5, (2.0, 1.0, 1.0, 1.0), (True, False)),   # at 1 and rising: above
+        (1.0, 0.5, (1.0, 1.0, 1.0, 1.0), (False, False)),  # at 1 and at rest: below
+        (1.0, 0.5, (0.5, 1.0, 1.0, 1.0), (False, False)),  # at 1 and falling: below
+        (1.5, 1.0, (1.0, 1.0, 1.0, 1.0), (True, True)),    # B at 1, filled by A's export
+        (1.0, 1.0, (2.0, 0.5, 1.0, 1.0), (True, False)),   # both at 1: each by its own sign
+    ],
+)
+def test_sides_put_a_stock_at_the_threshold_where_the_field_carries_it(
+        eta_a, eta_b, rates, expected):
+    assert sides(eta_a, eta_b, GoodEconomy(*rates, 1.0)) == expected
 
 
 def test_rhs_balanced_below_threshold_is_zero():

@@ -147,17 +147,21 @@ def test_recorded_events_sit_on_the_guard():
             assert abs(eta - 1.0) <= 1e-8
 
 
-def test_simultaneous_crossings_keep_the_first_found():
+def test_simultaneous_crossings_record_both():
     # mirrored economies: both stocks reach a guard at the same bisected time,
-    # and the event names eta_a, whose guard is searched first
+    # and each gets its event at that time, eta_a first
     rising = integrate_with_events(NormalizedState(0.5, 0.5),
                                    GoodEconomy(1.25, 1.25, 1.0, 1.0, 1.0), _opts())
-    assert [(e.kind, e.stock) for e in rising.events] == [("crossing", "eta_a")]
+    assert [(e.kind, e.stock) for e in rising.events] == [("crossing", "eta_a"),
+                                                          ("crossing", "eta_b")]
+    assert rising.events[0].t == rising.events[1].t
     assert rising.regimes[-1] is Regime.BILATERAL
     draining = integrate_with_events(NormalizedState(0.5, 0.5),
                                      GoodEconomy(0.75, 0.75, 1.0, 1.0, 1.0),
                                      _opts(depletion_policy=DepletionPolicy.HALT))
-    assert [(e.kind, e.stock) for e in draining.events] == [("depletion", "eta_a")]
+    assert [(e.kind, e.stock) for e in draining.events] == [("depletion", "eta_a"),
+                                                            ("depletion", "eta_b")]
+    assert draining.times[-1] == draining.events[0].t == draining.events[1].t
 
 
 def test_sampling_includes_horizon_and_is_strictly_increasing():
@@ -452,9 +456,12 @@ def _flow_free_draws(n=600, seed=12):
                money0 if (i // 6) % 2 else None)
 
 
-# sha256 of _series_digest over _flow_free_draws(), taken before flow-free
-# steps were shortcut: the shortcut must not move a bit
-PINNED_FLOW_FREE_DIGEST = "a5520810e915a184f83a7302a537a9563eb552fe45f696eea46b1b2dcff66338"
+# sha256 of _series_digest over _flow_free_draws(), first taken before flow-free
+# steps were shortcut (the shortcut must not move a bit) and taken again when
+# exchange.sides became the side rule: the 58 series that start exactly at 1
+# with a rising stock lost their crossing just after t = 0 and its sample, and
+# 9 series gained the second crossing of a tie
+PINNED_FLOW_FREE_DIGEST = "7399f31a3b602e91b84f3686f6f849023067f29a7790ddbc7afa55b878c2bd46"
 
 
 def test_flow_free_stretches_match_pinned_digest():
@@ -501,10 +508,12 @@ def _double_flip_draws(n=600, seed=21):
                money0 if (i // 6) % 2 else None)
 
 
-# sha256 of _series_digest over _double_flip_draws(), taken while each flipped
-# guard still ran its own bisection: one bisection for all of them must not
-# move a bit
-PINNED_DOUBLE_FLIP_DIGEST = "2ef93f08e16bd5070280600d258500b496c2369dfc9c7d66271bcf04cfd43ed8"
+# sha256 of _series_digest over _double_flip_draws(), first taken while each
+# flipped guard still ran its own bisection (one bisection for all of them
+# must not move a bit) and taken again when every guard past at the bisected
+# length got its event: 89 series gained the second crossing of a tie, and no
+# array moved
+PINNED_DOUBLE_FLIP_DIGEST = "2d81747d272983784775c6f8f4f3a59f909286eb87a83c8179bfdb3404269d15"
 
 
 def test_double_flips_match_pinned_digest():
@@ -523,7 +532,7 @@ def test_double_flips_match_pinned_digest():
 # First line of the full-step kernel inline in the loop, and the first line
 # run once the loop has chosen its step (e1a, e1b) from (ea, eb).
 _FIRST_STAGE = "sf = sig * ((0.0 if ea < 1.0 else ea - 1.0)"
-_STEP_CHOSEN = "((e1a > 1.0) == (ea > 1.0))"
+_STEP_CHOSEN = "((e1a > 1.0) == a_above)"
 
 
 @contextmanager
@@ -697,15 +706,25 @@ def test_bisection_runs_the_kernel_once_per_length(monkeypatch):
 
 def test_a_double_flip_runs_the_kernel_once_per_length(monkeypatch):
     # both stocks rise through 1 in the same step: one bisection serves both
-    # guards, and on the tie the eta_a crossing, found first, is the event
+    # guards, and on the tie each stock gets its crossing, eta_a first
     calls = _counting_kernel(monkeypatch)
     econ = GoodEconomy(1.5, 1.5, 1.0, 1.0, 2.0)
     series = integrate_with_events(NormalizedState(0.503, 0.503), econ,
                                    _opts(horizon=1.5, step=1e-2))
-    assert series.events == [Event(series.events[0].t, "crossing", "eta_a", "upward")]
+    t = series.events[0].t
+    assert series.events == [Event(t, "crossing", "eta_a", "upward"),
+                             Event(t, "crossing", "eta_b", "upward")]
     assert series.eta_a[-1] > 1.0 and series.eta_b[-1] > 1.0
     assert len(calls) >= 20
     assert len({(ea, eb, h) for ea, eb, h, _ in calls}) == len(calls)
+
+
+def test_the_loop_keeps_its_per_step_locals_out_of_cells():
+    # only build() closes over the loop's locals; a comprehension, generator
+    # or lambda that captured a per-step local (t_ev, say) would make it a
+    # cell variable, read through a slower cell load on every step
+    assert set(integrator.integrate_with_events.__code__.co_cellvars) == {
+        "econ", "prices", "money0", "eas", "ebs", "events", "short", "step", "ts"}
 
 
 def _stepped(s0, econ, opts):
