@@ -5,7 +5,8 @@ per-good rates (either productions directly or a fixed-point eta_star from
 which productions follow), [pricesN] the money parameters, [initial] the
 starting state, [solver] the integration options and [grid] the region scan.
 Parsing reports every problem found, not just the first; serialization emits
-17 significant digits so parse(serialize(s)) reproduces s exactly.
+17 significant digits, so parse(serialize(s)) == s except in the one case
+that serialize_scenario names. ``_FORMAT`` is the format, for both.
 """
 
 from __future__ import annotations
@@ -28,16 +29,22 @@ from .region import GridSpec
 
 __all__ = ["Scenario", "ScenarioError", "parse_scenario", "parse_scenario_text", "serialize_scenario"]
 
-_KNOWN_KEYS = {
-    "model": {"kind"},
-    "good1": {"p_a", "p_b", "c_a", "c_b", "sigma", "eta_star"},
-    "good2": {"p_a", "p_b", "c_a", "c_b", "sigma", "eta_star"},
-    "prices1": {"x_a", "x_b", "y"},
-    "prices2": {"x_a", "x_b", "y"},
-    "initial": {"eta_a", "eta_b", "m_a", "m_b"},
-    "solver": {"step", "event_tol", "horizon", "depletion_policy"},
-    "grid": {"sigma1_min", "sigma1_max", "sigma1_steps", "eta_min", "eta_max", "eta_steps"},
+#: The file format: each section's keys in the order serialize_scenario
+#: writes them, each with the type its value reads as.
+_GOOD = {"c_a": float, "c_b": float, "sigma": float, "eta_star": float, "p_a": float, "p_b": float}
+_PRICES = {"x_a": float, "x_b": float, "y": float}
+_FORMAT = {
+    "model": {"kind": str},
+    "good1": _GOOD,
+    "prices1": _PRICES,
+    "good2": _GOOD,
+    "prices2": _PRICES,
+    "initial": {"eta_a": float, "eta_b": float, "m_a": float, "m_b": float},
+    "solver": {"horizon": float, "step": float, "event_tol": float, "depletion_policy": str},
+    "grid": {"sigma1_min": float, "sigma1_max": float, "sigma1_steps": int,
+             "eta_min": float, "eta_max": float, "eta_steps": int},
 }
+_WHAT = {float: "a number", int: "an integer"}
 
 _POLICIES = {p.value: p for p in DepletionPolicy}
 
@@ -97,25 +104,22 @@ class _SectionReader:
         self.problems = problems
         self.stopped = False
 
-    def _read(self, key: str, convert, what: str, default, required: bool):
+    def get(self, key: str, default=None, required: bool = False):
+        """The value of ``key`` as its ``_FORMAT`` type, or ``default`` when
+        the key is absent."""
         raw = self.raw.get(key)
         if raw is None:
             if required:
                 self.problems.append(f"[{self.section}]: missing required key '{key}'")
                 self.stopped = True
             return default
+        convert = _FORMAT[self.section][key]
         try:
             return convert(raw)
         except ValueError:
-            self.problems.append(f"[{self.section}].{key}: not {what}: {raw!r}")
+            self.problems.append(f"[{self.section}].{key}: not {_WHAT[convert]}: {raw!r}")
             self.stopped = True
             return None
-
-    def get_float(self, key: str, default: float | None = None, required: bool = False) -> float | None:
-        return self._read(key, float, "a number", default, required)
-
-    def get_int(self, key: str, required: bool = False) -> int | None:
-        return self._read(key, int, "an integer", None, required)
 
     def has(self, key: str) -> bool:
         return key in self.raw
@@ -154,12 +158,11 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
 
     problems: list[str] = []
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _FORMAT:
             problems.append(f"unknown section [{section}]")
             continue
-        for key in cp[section]:
-            if key not in _KNOWN_KEYS[section]:
-                problems.append(f"[{section}]: unknown key '{key}'")
+        problems += [f"[{section}]: unknown key '{key}'"
+                     for key in cp[section] if key not in _FORMAT[section]]
 
     model = _SectionReader(cp, "model", problems)
     if not model.present:
@@ -182,14 +185,15 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     elif cp.has_section("good2") or cp.has_section("prices2"):
         problems.append("one-good model must not define [good2] or [prices2]")
 
-    prices1 = _parse_prices(cp, "prices1", required=two, problems=problems)
-    prices2 = _parse_prices(cp, "prices2", required=two, problems=problems) if two else None
+    prices1 = _parse_record(cp, "prices1", PriceSet, required=two, problems=problems)
+    prices2 = (_parse_record(cp, "prices2", PriceSet, required=two, problems=problems)
+               if two else None)
     initial, initial_money = _parse_initial(cp, problems)
     if initial_money is not None and not cp.has_section("prices1") and (
             initial_money.m_a != 0.0 or initial_money.m_b != 0.0):
         problems.append("[initial]: money holdings m_a, m_b need a [prices1] section")
     solver = _parse_solver(cp, problems)
-    grid = _parse_grid(cp, problems)
+    grid = _parse_record(cp, "grid", GridSpec, required=False, problems=problems)
     if grid is not None and not two:
         problems.append("[grid] requires the two-good model")
 
@@ -220,11 +224,11 @@ def _parse_good(cp, section, exporter, required, default_eta, problems):
         if required:
             problems.append(f"missing [{section}] section")
         return None, None
-    c_a = r.get_float("c_a", required=True)
-    c_b = r.get_float("c_b", required=True)
-    sigma = r.get_float("sigma", default=_DEFAULT_SIGMA)
+    c_a = r.get("c_a", required=True)
+    c_b = r.get("c_b", required=True)
+    sigma = r.get("sigma", default=_DEFAULT_SIGMA)
     gives_p = r.has("p_a") or r.has("p_b")
-    eta_star = r.get_float("eta_star")
+    eta_star = r.get("eta_star")
     if gives_p and eta_star is not None:
         problems.append(
             f"[{section}]: give either productions (p_a, p_b) or eta_star, not both"
@@ -232,8 +236,8 @@ def _parse_good(cp, section, exporter, required, default_eta, problems):
 
     # A conflict does not return early: p_a and p_b are still read and checked.
     if gives_p:
-        p_a = r.get_float("p_a", required=True)
-        p_b = r.get_float("p_b", required=True)
+        p_a = r.get("p_a", required=True)
+        p_b = r.get("p_b", required=True)
         if eta_star is not None:
             return None, None
     else:
@@ -253,24 +257,24 @@ def _parse_good(cp, section, exporter, required, default_eta, problems):
     return r.build(GoodEconomy, p_a=p_a, p_b=p_b, c_a=c_a, c_b=c_b, sigma=sigma), eta_star
 
 
-def _parse_prices(cp, section, required, problems):
+def _parse_record(cp, section, make, required, problems):
+    """``make`` called with every key of the section, each one required."""
     r = _SectionReader(cp, section, problems)
     if not r.present:
         if required:
             problems.append(f"missing [{section}] section")
         return None
-    return r.build(PriceSet, x_a=r.get_float("x_a", required=True),
-                   x_b=r.get_float("x_b", required=True), y=r.get_float("y", required=True))
+    return r.build(make, **{key: r.get(key, required=True) for key in _FORMAT[section]})
 
 
 def _parse_initial(cp, problems):
     r = _SectionReader(cp, "initial", problems)
     if not r.present:
         return None, None
-    eta_a = r.get_float("eta_a", required=True)
-    eta_b = r.get_float("eta_b", required=True)
-    m_a = r.get_float("m_a", default=0.0)
-    m_b = r.get_float("m_b", default=0.0)
+    eta_a = r.get("eta_a", required=True)
+    eta_b = r.get("eta_b", required=True)
+    m_a = r.get("m_a", default=0.0)
+    m_b = r.get("m_b", default=0.0)
     return r.build(NormalizedState, eta_a, eta_b), r.build(MoneyState, m_a, m_b)
 
 
@@ -279,10 +283,8 @@ def _parse_solver(cp, problems):
     if not r.present:
         return None
     # SolverOptions owns the defaults of the keys the file leaves out.
-    given = {"horizon": r.get_float("horizon", required=True)}
-    for key in ("step", "event_tol"):
-        if r.has(key):
-            given[key] = r.get_float(key)
+    given = {"horizon": r.get("horizon", required=True)}
+    given.update((key, r.get(key)) for key in ("step", "event_tol") if r.has(key))
     if r.has("depletion_policy"):
         policy_raw = r.raw["depletion_policy"]
         policy = _POLICIES.get(policy_raw)
@@ -294,77 +296,43 @@ def _parse_solver(cp, problems):
     return r.build(SolverOptions, **given)
 
 
-def _parse_grid(cp, problems):
-    r = _SectionReader(cp, "grid", problems)
-    if not r.present:
-        return None
-    return r.build(
-        GridSpec,
-        sigma1_min=r.get_float("sigma1_min", required=True),
-        sigma1_max=r.get_float("sigma1_max", required=True),
-        sigma1_steps=r.get_int("sigma1_steps", required=True),
-        eta_min=r.get_float("eta_min", required=True),
-        eta_max=r.get_float("eta_max", required=True),
-        eta_steps=r.get_int("eta_steps", required=True),
-    )
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _text(value, kind) -> str:
+    if kind is float:
+        return f"{value:.17g}"
+    return str(getattr(value, "value", value))  # the depletion policy's enum value
 
 
 def serialize_scenario(s: Scenario) -> str:
-    """Emit scenario-file text that parses back to an equal Scenario."""
-    lines: list[str] = ["[model]", f"kind = {s.kind}", ""]
-
-    def emit_good(section: str, good: GoodEconomy, eta_star: float | None) -> None:
+    """Emit scenario-file text that parses back to an equal Scenario, except
+    that an ``initial`` without ``initial_money`` is written with zero money,
+    which parses back as ``MoneyState(0.0, 0.0)``."""
+    money = s.initial_money if s.initial_money is not None else MoneyState(0.0, 0.0)
+    values = {
+        "model": {"kind": s.kind},
+        "good1": _good_fields(s.good1, s.eta_star1), "prices1": _fields(s.prices1),
+        "good2": _good_fields(s.good2, s.eta_star2), "prices2": _fields(s.prices2),
+        "initial": _fields(s.initial, **vars(money)),
+        "solver": _fields(s.solver), "grid": _fields(s.grid),
+    }
+    lines: list[str] = []
+    for section, keys in _FORMAT.items():
+        given = values[section]
+        if given is None:
+            continue
         lines.append(f"[{section}]")
-        lines.append(f"c_a = {_fmt(good.c_a)}")
-        lines.append(f"c_b = {_fmt(good.c_b)}")
-        lines.append(f"sigma = {_fmt(good.sigma)}")
-        if eta_star is not None:
-            lines.append(f"eta_star = {_fmt(eta_star)}")
-        else:
-            lines.append(f"p_a = {_fmt(good.p_a)}")
-            lines.append(f"p_b = {_fmt(good.p_b)}")
-        lines.append("")
-
-    def emit_prices(section: str, prices: PriceSet) -> None:
-        lines.append(f"[{section}]")
-        lines.append(f"x_a = {_fmt(prices.x_a)}")
-        lines.append(f"x_b = {_fmt(prices.x_b)}")
-        lines.append(f"y = {_fmt(prices.y)}")
-        lines.append("")
-
-    emit_good("good1", s.good1, s.eta_star1)
-    if s.prices1 is not None:
-        emit_prices("prices1", s.prices1)
-    if s.good2 is not None:
-        emit_good("good2", s.good2, s.eta_star2)
-    if s.prices2 is not None:
-        emit_prices("prices2", s.prices2)
-    if s.initial is not None:
-        lines.append("[initial]")
-        lines.append(f"eta_a = {_fmt(s.initial.eta_a)}")
-        lines.append(f"eta_b = {_fmt(s.initial.eta_b)}")
-        money = s.initial_money if s.initial_money is not None else MoneyState(0.0, 0.0)
-        lines.append(f"m_a = {_fmt(money.m_a)}")
-        lines.append(f"m_b = {_fmt(money.m_b)}")
-        lines.append("")
-    if s.solver is not None:
-        lines.append("[solver]")
-        lines.append(f"horizon = {_fmt(s.solver.horizon)}")
-        lines.append(f"step = {_fmt(s.solver.step)}")
-        lines.append(f"event_tol = {_fmt(s.solver.event_tol)}")
-        lines.append(f"depletion_policy = {s.solver.depletion_policy.value}")
-        lines.append("")
-    if s.grid is not None:
-        lines.append("[grid]")
-        lines.append(f"sigma1_min = {_fmt(s.grid.sigma1_min)}")
-        lines.append(f"sigma1_max = {_fmt(s.grid.sigma1_max)}")
-        lines.append(f"sigma1_steps = {s.grid.sigma1_steps}")
-        lines.append(f"eta_min = {_fmt(s.grid.eta_min)}")
-        lines.append(f"eta_max = {_fmt(s.grid.eta_max)}")
-        lines.append(f"eta_steps = {s.grid.eta_steps}")
+        lines += [f"{key} = {_text(given[key], kind)}"
+                  for key, kind in keys.items() if given.get(key) is not None]
         lines.append("")
     return "\n".join(lines)
+
+
+def _fields(record, **extra) -> dict | None:
+    """The record's fields updated by ``extra``, or None without a record."""
+    return None if record is None else {**vars(record), **extra}
+
+
+def _good_fields(good: GoodEconomy | None, eta_star: float | None) -> dict | None:
+    """A good's rates; a pinned eta_star is written in place of the productions."""
+    if eta_star is None:
+        return _fields(good)
+    return _fields(good, eta_star=eta_star, p_a=None, p_b=None)

@@ -1145,3 +1145,39 @@ def test_usage_errors_exit_with_input_code():
     with pytest.raises(SystemExit) as exc:
         main(["simulate"])  # missing required arguments
     assert exc.value.code == EXIT_INPUT
+
+
+def _item3(repro):
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=f"{repro}; ROADMAP item 3")
+
+
+@pytest.mark.parametrize("sigma, mode", [
+    pytest.param("1e-12", "both", marks=_item3(
+        "sigma = 1e-12: --both exits 2 with discrepancy 3.0517595505208384e-05")),
+    pytest.param("1e-200", "analytic", marks=_item3(
+        "sigma = 1e-200: --analytic exits 0, writes row 0 as 0,0,0,a_exports and logs "
+        "crossings at t = 1e-10 and t = 4.0000000001")),
+    pytest.param("1e-300", "analytic", marks=_item3(
+        "sigma = 1e-300: --analytic exits 0, writes row 0 as 0,0,0,a_exports and logs "
+        "crossings at t = 1e-10 and t = 4.0000000001")),
+    pytest.param("5e-324", "analytic", marks=_item3(
+        "sigma = 5e-324: --analytic exits 2 with 'eta_a must be a finite number, got nan'")),
+    pytest.param("5e-324", "both", marks=_item3(
+        "sigma = 5e-324: --both exits 2 with 'eta_a must be a finite number, got nan'")),
+    pytest.param("1e308", "analytic", marks=_item3(
+        "sigma = 1e308 from (1.5, 0.5): --analytic exits 2, 'produced a non-finite value'")),
+])
+def test_the_closed_form_holds_over_the_legal_sigma_range(tmp_path, capsys, sigma, mode):
+    # crossing.scenario from eta_a = 1.5, step 0.01, horizon 10: A exports
+    # throughout, and at small sigma eta_b stays far below the threshold
+    path = tmp_path / "run.scenario"
+    path.write_text(CROSSING.replace("sigma = 1\n", f"sigma = {sigma}\n").replace(
+        "eta_a = 0.5", "eta_a = 1.5").replace("step = 0.001", "step = 0.01"))
+    out = tmp_path / "out.csv"
+    code = main(["simulate", str(path), f"--{mode}", "--out", str(out)])
+    printed = capsys.readouterr()
+    assert code == EXIT_OK, printed.err
+    assert out.read_text().splitlines()[1].split(",")[:3] == ["0", "1.5", "0.5"]
+    if float(sigma) < 1.0:
+        assert "event" not in printed.out

@@ -2,13 +2,15 @@
 
 Any text either parses or raises ScenarioError, and any scenario file, raw
 bytes included, ends in a documented exit code, with `error:` lines when it
-is an input error or a numerical-check failure. Generated runs stay small
+is an input error or a numerical-check failure; and any valid Scenario
+serializes to text that parses back equal. Generated runs stay small
 (grids of at most 20x20, at most 10^3 samples), and the examples are
 derandomized so every run of the suite tries the same ones.
 """
 
 import configparser
 import contextlib
+import dataclasses
 import io
 import warnings
 from pathlib import Path
@@ -17,7 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tradeflow.cli import EXIT_DEPLETION, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
-from tradeflow.scenario import Scenario, ScenarioError, parse_scenario_text
+from tradeflow.core import GoodEconomy, MoneyState, NormalizedState, PriceSet
+from tradeflow.integrator import DepletionPolicy, SolverOptions
+from tradeflow.money import fixed_point_production
+from tradeflow.region import GridSpec
+from tradeflow.scenario import Scenario, ScenarioError, parse_scenario_text, serialize_scenario
 
 FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=250)
 
@@ -139,6 +145,84 @@ def test_parse_returns_a_scenario_or_raises_scenario_error(text):
         assert isinstance(parse_scenario_text(text), Scenario)
     except ScenarioError as exc:
         assert exc.problems
+
+
+#: Non-negative finite floats, subnormals and 1e308 included.
+RATES = st.one_of(st.floats(0.0, 5.0), st.floats(0.0, 1e308),
+                  st.sampled_from([5e-324, 1e-310, 1e308]))
+FINITE = st.one_of(st.floats(-5.0, 5.0), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def goods(draw, exporter: str, two: bool) -> tuple[GoodEconomy, float | None]:
+    """A good with explicit productions, or with an eta_star and the
+    productions the parser derives from it (when that fixed point exists)."""
+    c_a, c_b, sigma = draw(RATES), draw(RATES), draw(RATES)
+    if draw(st.booleans()):
+        eta_star = draw(st.floats(1.0, 3.0, exclude_min=two) | st.floats(1.0, 1e308))
+        c_exp, c_imp = (c_a, c_b) if exporter == "a" else (c_b, c_a)
+        try:
+            p_exp, p_imp = fixed_point_production(eta_star, c_exp, c_imp, sigma)
+            p_a, p_b = (p_exp, p_imp) if exporter == "a" else (p_imp, p_exp)
+            return GoodEconomy(p_a, p_b, c_a, c_b, sigma), eta_star
+        except ValueError:  # no such fixed point: give the productions instead
+            pass
+    return GoodEconomy(draw(RATES), draw(RATES), c_a, c_b, sigma), None
+
+
+def _solver(horizon: float, fraction: float, event_tol: float, policy) -> SolverOptions:
+    try:
+        return SolverOptions(horizon, horizon * fraction, event_tol, policy)
+    except ValueError:  # the step rounded to 0 or past the sample cap
+        return SolverOptions(horizon, horizon, event_tol, policy)
+
+
+@st.composite
+def scenarios(draw) -> Scenario:
+    """Valid one-good and two-good Scenarios, every optional section either
+    given or left out, money included (or not) with the initial state."""
+    two = draw(st.booleans())
+    good1, eta_star1 = draw(goods("a", two))
+    good2, eta_star2 = draw(goods("b", two)) if two else (None, None)
+    if two:  # A exports good 1, B good 2: x_a < y < x_b, then x_b < y < x_a
+        lo, mid, hi = draw(st.lists(RATES, min_size=3, max_size=3, unique=True).map(sorted))
+        prices1, prices2 = PriceSet(lo, hi, mid), PriceSet(hi, lo, mid)
+    else:
+        prices1 = draw(st.none() | st.builds(PriceSet, RATES, RATES, RATES))
+        prices2 = None
+    initial = draw(st.none() | st.builds(NormalizedState, FINITE, FINITE))
+    money = st.none() | st.just(MoneyState(0.0, 0.0))
+    if prices1 is not None:  # non-zero money needs [prices1]
+        money |= st.builds(MoneyState, FINITE, FINITE)
+    solver = draw(st.none() | st.builds(
+        _solver, st.floats(5e-324, 1e308), st.floats(1e-7, 1.0), st.floats(5e-324, 1e308),
+        st.sampled_from(DepletionPolicy)))
+    grid = None
+    if two and draw(st.booleans()):
+        s_lo, s_hi = draw(st.lists(st.floats(0.0, 1e308), min_size=2, max_size=2,
+                                   unique=True).map(sorted))
+        e_lo, e_hi = draw(st.lists(st.floats(1.0, 1e308), min_size=2, max_size=2,
+                                   unique=True).map(sorted))
+        grid = GridSpec(s_lo, s_hi, draw(st.integers(2, 3000)), e_lo, e_hi,
+                        draw(st.integers(2, 3000)))
+    return Scenario(
+        kind="two-good" if two else "one-good", good1=good1, good2=good2,
+        eta_star1=eta_star1, eta_star2=eta_star2, prices1=prices1, prices2=prices2,
+        initial=initial, initial_money=draw(money) if initial is not None else None,
+        solver=solver, grid=grid,
+    )
+
+
+@FUZZ
+@given(scenarios())
+def test_serialized_scenarios_parse_back_equal(sc):
+    """parse(serialize(s)) == s, with one exception: an initial state without
+    money is written as `m_a = 0`, `m_b = 0` and parses back with
+    MoneyState(0.0, 0.0), not None (as perfbench's `crosscheck` draws are)."""
+    expected = sc
+    if sc.initial is not None and sc.initial_money is None:
+        expected = dataclasses.replace(sc, initial_money=MoneyState(0.0, 0.0))
+    assert parse_scenario_text(serialize_scenario(sc)) == expected
 
 
 def _run_main(argv: list[str]) -> tuple[int, list[str]]:

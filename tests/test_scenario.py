@@ -1,10 +1,15 @@
+import hashlib
+import json
+import random
 from pathlib import Path
 
 import pytest
 
 from tradeflow.core import GoodEconomy, MoneyState, NormalizedState, PriceSet
-from tradeflow.integrator import DepletionPolicy
+from tradeflow.integrator import DepletionPolicy, SolverOptions
+from tradeflow.region import GridSpec
 from tradeflow.scenario import (
+    Scenario,
     ScenarioError,
     parse_scenario,
     parse_scenario_text,
@@ -222,6 +227,15 @@ y = 4
     assert problem.startswith(f"[{section}]: ") and "importer" in problem
 
 
+def test_missing_sections_of_a_two_good_model():
+    text = (SCENARIO_DIR / "fig2.scenario").read_text()
+    text = text[:text.index("[prices1]")] + text[text.index("[grid]"):]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario_text(text)
+    assert err.value.problems == [
+        "missing [good2] section", "missing [prices1] section", "missing [prices2] section"]
+
+
 def test_one_good_must_not_define_good2():
     text = ONE_GOOD + "\n[good2]\nc_a = 1\nc_b = 1\n"
     with pytest.raises(ScenarioError, match="must not define"):
@@ -263,3 +277,97 @@ def test_round_trip_preserves_awkward_floats():
     again = parse_scenario_text(serialize_scenario(sc))
     assert again == sc
     assert again.solver.step == 1e-6
+
+
+BUNDLED = sorted(SCENARIO_DIR.glob("*.scenario"))
+
+
+def _generated_scenarios(count: int = 60) -> list[Scenario]:
+    """Seeded Scenarios built directly, not parsed: both kinds, every
+    section present and absent, eta_star and explicit productions, all three
+    depletion policies, money given or left out, and awkward floats."""
+    rng = random.Random(19)
+    awkward = [0.1, 1.0, 2.0 / 3.0, 9.600000000000001, 1e-300, 5e-324, 1e308]
+
+    def num(lo: float = 0.0, hi: float = 5.0) -> float:
+        return rng.choice(awkward) if rng.random() < 0.2 else rng.uniform(lo, hi)
+
+    def good():
+        return GoodEconomy(num(), num(), num(), num(), num()), (
+            num(1.0, 3.0) if rng.random() < 0.5 else None)
+
+    def maybe(make):
+        return make() if rng.random() < 0.6 else None
+
+    policies = list(DepletionPolicy)
+    scenarios = []
+    for i in range(count):
+        two = i % 2 == 1
+        good1, eta_star1 = good()
+        good2, eta_star2 = good() if two else (None, None)
+        initial = maybe(lambda: NormalizedState(num(-1.0, 3.0), num(-1.0, 3.0)))
+        horizon = rng.uniform(0.5, 100.0)
+        scenarios.append(Scenario(
+            kind="two-good" if two else "one-good",
+            good1=good1, good2=good2, eta_star1=eta_star1, eta_star2=eta_star2,
+            prices1=maybe(lambda: PriceSet(num(), num(), num())),
+            prices2=PriceSet(num(), num(), num()) if two else None,
+            initial=initial,
+            initial_money=maybe(lambda: MoneyState(num(-5.0, 5.0), num(-5.0, 5.0)))
+            if initial is not None else None,
+            solver=maybe(lambda: SolverOptions(
+                horizon=horizon, step=horizon / rng.randint(1, 10**6),
+                event_tol=rng.choice([1e-10, 1e-12, 0.1]),
+                depletion_policy=policies[i % 3])),
+            grid=maybe(lambda: GridSpec(
+                sigma1_min=rng.choice([0.0, 5e-324, 0.1, 2.0 / 3.0]), sigma1_max=rng.uniform(2.0, 12.0),
+                sigma1_steps=rng.randint(2, 400), eta_min=rng.uniform(1.0, 1.5),
+                eta_max=rng.uniform(2.0, 12.0), eta_steps=rng.randint(2, 400)))
+            if two else None,
+        ))
+    return scenarios
+
+
+#: sha256 of the serialized text of the bundled scenarios and of
+#: `_generated_scenarios()`, pinned before the format was table-driven.
+PINNED_SERIALIZED_DIGEST = "e4781bb87499f2dc2f51618f4092ddbfa8793045e59a59137265609705bb6806"
+
+
+def test_serialized_text_is_pinned():
+    texts = [serialize_scenario(parse_scenario(path)) for path in BUNDLED]
+    texts += [serialize_scenario(sc) for sc in _generated_scenarios()]
+    assert hashlib.sha256("\0".join(texts).encode()).hexdigest() == PINNED_SERIALIZED_DIGEST
+
+
+def _mutations(text: str):
+    """Each `key = value` line with its value replaced by a bad or edge
+    value, dropped, or followed by an unknown key."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        if " = " not in line or line.startswith("#"):
+            continue
+        key = line.split(" = ")[0]
+        before, after = lines[:i], lines[i + 1:]
+        for value in ("x", "", "1e999", "nan", "-1", "2.5"):
+            yield before + [f"{key} = {value}"] + after
+        yield before + after
+        yield before + [line, "bogus = 1"] + after
+
+
+#: sha256 of the problem lists of every `_mutations` variant of the bundled
+#: scenarios ([] where the variant parses), pinned like the digest above.
+PINNED_PROBLEMS_DIGEST = "195341712516155bab02de8d9c7b9e2b173c1565c7cfe46785e55b0e26f0adc2"
+
+
+def test_problem_lists_are_pinned():
+    results = []
+    for path in BUNDLED:
+        for lines in _mutations(path.read_text()):
+            try:
+                parse_scenario_text("\n".join(lines) + "\n")
+                results.append([])
+            except ScenarioError as exc:
+                results.append(exc.problems)
+    assert len(results) == 312
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert digest == PINNED_PROBLEMS_DIGEST
