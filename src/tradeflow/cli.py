@@ -12,9 +12,10 @@ import os
 import re
 import sys
 import warnings
+from contextlib import ExitStack, closing
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,14 +39,17 @@ SUP_DISCREPANCY_TOL = 1e-6
 #: alive at once while keeping the per-call overhead negligible.
 _CHUNK_ROWS = 2048
 
-#: Values (rows times array columns) from which `_text` formats a file in two
-#: processes. A split costs a fork, the wait for the child and the page
-#: faults that the fork leaves to the rest of the process; it saves half the
-#: formatting. On a 2-core host at about 40 MB resident, a loop of one file
-#: formatted, a small op, a collection and a reference computation ran
-#: faster split in about half the pairs from 24576 to 40002 values, a wash,
-#: and in 15 to 19 of 16 to 20 pairs from 49152. No CLI file has more than 6
-#: array columns, so one under 8192 rows never splits.
+#: Values (rows times array columns) from which `_write_csvs` formats all of
+#: the files of one command in two processes, the columns that lead the rows
+#: of more than one file counted once. A split costs a fork, the wait for the
+#: child and the page faults that the fork leaves to the rest of the process;
+#: it saves half the formatting. On a 2-core host at about 40 MB resident, a
+#: loop of one file formatted, a small op, a collection and a reference
+#: computation ran faster split in about half the pairs from 24576 to 40002
+#: values, a wash, and in 15 to 19 of 16 to 20 pairs from 49152. No CLI file
+#: has more than 6 array columns, so a command that writes one file under
+#: 8192 rows never splits; `simulate --both` with prices writes 9 array
+#: columns in all, so it splits from 5462 rows.
 _SPLIT_VALUES = 49152
 
 
@@ -101,8 +105,17 @@ def _load(path: str) -> Scenario | None:
         return None
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    _write_csv(path, "\n".join(lines), [[]])  # all of it as the header, no rows
+def _write(path: Path, text: Iterable[str]) -> None:
+    """Write the strings of ``text`` as the file at ``path``. A write that
+    raises removes its file."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.writelines(text)
+    except BaseException:
+        if path.is_file():  # not a device such as /dev/full
+            path.unlink()
+        raise
 
 
 def _block_column(a: np.ndarray, spec: str) -> tuple[str, list]:
@@ -128,8 +141,7 @@ def _blocks(columns: list) -> Iterator[str]:
     bytes of ``f"{x:.17g}"``), bool arrays as 0/1, lists of strings as they
     are. Each block is formatted by a single ``%``; an array column whose
     block is at least half repeats formats each run once (`_block_column`).
-    The writers call it through `_text`, which may run it on each half of
-    the rows in its own process."""
+    `_write_csvs` may run it on each half of the rows in its own process."""
     specs = ["%s" if not isinstance(c, np.ndarray) else "%d" if c.dtype == bool else "%.17g"
              for c in columns]
     n = len(columns[0])
@@ -142,99 +154,94 @@ def _blocks(columns: list) -> Iterator[str]:
         yield (fmt * (hi - lo)) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _text(columns: list) -> Iterator[str]:
-    """The text of `_blocks`, formatted on two cores when there are at least
-    `_SPLIT_VALUES` values, `os.fork` and two CPUs: a forked child formats
-    rows n//2 onwards into an unnamed temporary file, block by block, while
-    this process formats the first half; the child's text follows once it
-    has ended. The bytes do not depend on the split, since each value, run
-    head or not, is formatted by the same spec. The child is reaped on every
-    exit path, also when the caller stops reading, and a child that fails
-    raises `OSError`."""
-    n = len(columns[0])
-    values = n * sum(isinstance(c, np.ndarray) for c in columns)
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    if values < _SPLIT_VALUES or len(cpus) < 2 or not hasattr(os, "fork"):
-        yield from _blocks(columns)
-        return
+def _tables(lead: list, tables: list[list], lo: int, hi: int) -> Iterator[Iterator[str]]:
+    """The `_blocks` of rows [lo, hi) of each table, every row led by the
+    ``lead`` columns. When more than one table shares the lead, it is
+    formatted once, on the first table's turn, and passed on as one string
+    column."""
+    lead = [c[lo:hi] for c in lead]
+    if len(tables) > 1:
+        lead = ["".join(_blocks(lead)).split("\n")[:-1]]
+    for columns in tables:
+        yield _blocks(lead + [c[lo:hi] for c in columns])
+
+
+def _fork(stack: ExitStack, lead: list, tables: list[list], n: int):
+    """Fork a child that formats rows n//2 onwards of each table into an
+    unnamed temporary file of its own, and writes one byte to a pipe as each
+    is complete; ``stack`` reaps it and closes the files and the pipe. Returns
+    the reader of table i's rows from the child, which waits for its byte and
+    raises `OSError` when the child ended without it. Raises `OSError` when
+    no temporary file, pipe or process is to be had."""
     import tempfile  # here, so that a command that never splits does not load it
 
-    half = n // 2
+    spills = [stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+              for _ in tables]
+    r, w = os.pipe()
+    stack.callback(os.close, r)
     try:
-        spill = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
-    except OSError:  # no temporary file: format alone
-        yield from _blocks(columns)
-        return
-    with spill:
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns on a fork of a process with more than
-                # one thread (here numpy's idle OpenBLAS thread): the child
-                # could deadlock on a lock that another thread held. The
-                # child runs no BLAS, takes no such lock and ends in
-                # os._exit, so it neither returns into the caller nor
-                # flushes this process's buffers.
-                warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                        DeprecationWarning)
-                pid = os.fork()
-        except OSError:  # no process to spare: format alone
-            yield from _blocks(columns)
-            return
-        if pid == 0:
-            code = 1
-            try:
-                spill.writelines(_blocks([c[half:] for c in columns]))
-                spill.flush()
-                code = 0
-            finally:
-                os._exit(code)
-        try:
-            yield from _blocks([c[:half] for c in columns])
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code != 0:
-            raise OSError(f"the process formatting rows {half} to {n - 1} failed "
-                          f"(exit status {code})")
-        spill.seek(0)  # the child's writes moved the offset both share
-        yield from iter(lambda: spill.read(1 << 16), "")
-
-
-def _formatted(columns: list) -> list[str]:
-    """One string per row of parallel columns, as `_write_csv` writes it but
-    without the newline: a value written more than once is formatted once
-    here and handed to `_write_csv` as a string column."""
-    return "".join(_text(columns)).split("\n")[:-1]
-
-
-def _write_csv(path: Path, header: str, columns: list) -> None:
-    """Write parallel columns under a header line, formatted by `_blocks`
-    through `_text`, so in two processes from `_SPLIT_VALUES` values: a block
-    of an array column that is at least half repeats of the row above formats
-    each run of equal values once. Besides the regime names, the string
-    columns that arrive hold floats already formatted by `_formatted`: the
-    region's sigma1 and eta_a1 axes, and the t,eta_a,eta_b lead that both
-    files of `simulate --both` share. A write that raises removes its file."""
-    fh = open(path, "w", encoding="utf-8", newline="\n")
-    try:
-        with fh:
-            fh.write(header + "\n")
-            fh.writelines(_text(columns))
-    except BaseException:
-        if path.is_file():  # not a device such as /dev/full
-            path.unlink()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork of a process with more than one
+            # thread (here numpy's idle OpenBLAS thread): the child could
+            # deadlock on a lock that another thread held. The child runs no
+            # BLAS, takes no such lock and ends in os._exit, so it neither
+            # returns into the caller nor flushes this process's buffers.
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(w)
         raise
+    if pid == 0:
+        code = 1
+        try:
+            for spill, text in zip(spills, _tables(lead, tables, n // 2, n)):
+                spill.writelines(text)
+                spill.flush()
+                os.write(w, b".")
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    stack.callback(os.waitpid, pid, 0)  # first on exit, while the pipe is open
+
+    def rows_from_child(i: int) -> Iterator[str]:
+        if os.read(r, 1) != b".":  # the pipe closed: the child has ended
+            raise OSError(f"the process formatting rows {n // 2} to {n - 1} failed")
+        spills[i].seek(0)  # the child's writes moved the offset both share
+        yield from iter(lambda: spills[i].read(1 << 16), "")
+
+    return rows_from_child
 
 
-def _write_timeseries(path: Path, series: TimeSeries, lead: list) -> None:
-    """Write the series; ``lead`` holds its t, eta_a and eta_b columns, as
-    arrays or already formatted as one string column."""
-    header = "t,eta_a,eta_b,regime,f"
-    columns = lead + [[r._value_ for r in series.regimes],  # `.value` is a slow Enum property
-                      flow_array(series.eta_a, series.eta_b)]
-    if series.m_a is not None:
-        header += ",m_a,m_b"
-        columns += [series.m_a, series.m_b]
-    _write_csv(path, header, columns)
+def _write_csvs(lead: list, files: list[tuple[Path, str, list]]) -> Iterator[None]:
+    """Write the CSV files of one command in turn, each (path, header,
+    columns) with the ``lead`` columns first in every row, and yield once
+    each file is complete, so that the caller can report it before the next
+    is written. Float arrays are written as ``%.17g``, bool arrays as 0/1,
+    lists of strings as they are (`_blocks`). From `_SPLIT_VALUES` values
+    in all (rows times array columns, the lead counted once), with `os.fork`
+    and two CPUs, the command forks once: a child formats rows n//2 onwards
+    of every file (`_fork`) while this process formats the first half, and
+    each file is its header, this process's half, then the child's. The
+    bytes do not depend on the split, since each value, run head or not, is
+    formatted by the same spec. The child is reaped on every exit path, also
+    when the caller stops early. A write that raises removes its file."""
+    tables = [columns for _, _, columns in files]
+    n = len((lead or tables[0])[0])
+    values = n * sum(isinstance(c, np.ndarray) for c in chain(lead, *tables))
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    with ExitStack() as stack:
+        child = None
+        if values >= _SPLIT_VALUES and len(cpus) >= 2 and hasattr(os, "fork"):
+            try:
+                child = _fork(stack, lead, tables, n)
+            except OSError:  # format alone
+                pass
+        texts = _tables(lead, tables, 0, n if child is None else n // 2)
+        for i, ((path, header, _), text) in enumerate(zip(files, texts)):
+            _write(path, chain([header + "\n"], text, child(i) if child else ()))
+            yield
 
 
 def _timeseries_plot_script(data_name: str, with_money: bool) -> list[str]:
@@ -357,35 +364,41 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             code=EXIT_NUMERIC,
         )
 
-    lead = [series.times, series.eta_a, series.eta_b]
+    header = "t,eta_a,eta_b,regime,f"
+    columns = [[r._value_ for r in series.regimes],  # `.value` is a slow Enum property
+               flow_array(series.eta_a, series.eta_b)]
+    if series.m_a is not None:
+        header += ",m_a,m_b"
+        columns += [series.m_a, series.m_b]
+    files = [(out, header, columns)]
+    if args.mode == "both":  # the comparison file starts with the same columns
+        sup = float(disc.max()) if len(disc) else 0.0
+        files.append((cmp_path,
+                      "t,eta_a_numeric,eta_b_numeric,eta_a_analytic,eta_b_analytic,discrepancy",
+                      [reference[:, 0], reference[:, 1], disc]))
     path = out
     try:
-        if args.mode == "both":  # the comparison file starts with the same columns
-            lead = [_formatted(lead)]
-        _write_timeseries(out, series, lead)
-        print(f"wrote {len(series)} samples to {out}")
-        for e in series.events:
-            print(f"event t={_fmt(e.t)}: {e}")
-        if args.plot:
-            path = script
-            _write_lines(script, _timeseries_plot_script(out.name, series.m_a is not None))
-            print(f"wrote plot script {script}")
-        if args.mode == "both":
-            sup = float(disc.max()) if len(disc) else 0.0
-            path = cmp_path
-            _write_csv(
-                cmp_path,
-                "t,eta_a_numeric,eta_b_numeric,eta_a_analytic,eta_b_analytic,discrepancy",
-                lead + [reference[:, 0], reference[:, 1], disc],
-            )
-            print(f"wrote comparison to {cmp_path}")
-            print(f"sup-norm discrepancy: {_fmt(sup)}")
+        with closing(_write_csvs([series.times, series.eta_a, series.eta_b], files)) as written:
+            next(written)
+            print(f"wrote {len(series)} samples to {out}")
+            for e in series.events:
+                print(f"event t={_fmt(e.t)}: {e}")
+            if args.plot:
+                path = script
+                _write(script, (f"{line}\n" for line in
+                                _timeseries_plot_script(out.name, series.m_a is not None)))
+                print(f"wrote plot script {script}")
+            if args.mode == "both":
+                path = cmp_path
+                next(written)
+                print(f"wrote comparison to {cmp_path}")
+                print(f"sup-norm discrepancy: {_fmt(sup)}")
     except OSError as exc:
         return _fail(f"cannot write {path}: {exc.strerror or exc}")
 
     if sup is not None and sup > SUP_DISCREPANCY_TOL:
         return _fail(
-            f"analytic/numeric discrepancy {_fmt(sup)} exceeds {_fmt(SUP_DISCREPANCY_TOL)}",
+            f"analytic/numeric discrepancy {_fmt(sup)} exceeds {SUP_DISCREPANCY_TOL:g}",
             code=EXIT_NUMERIC,
         )
     for e in series.events:
@@ -451,32 +464,28 @@ def cmd_region(args: argparse.Namespace) -> int:
     total = scan.k.size
     # Row-major with sigma1 fastest: each axis node is formatted once, then
     # sigma1 is tiled across the rows and each eta_a1 repeated along its row.
-    grid_columns = (scan.k, scan.dm_a, scan.dm_b, scan.p_a2, scan.p_b1, scan.feasible)
+    sigma1 = [_fmt(s) for s in scan.sigma1.tolist()]
+    eta_a1 = [_fmt(e) for e in scan.eta_a1.tolist()]
+    columns = [sigma1 * len(eta_a1),
+               list(chain.from_iterable(repeat(e, len(sigma1)) for e in eta_a1))]
+    columns += [a.ravel() for a in (scan.k, scan.dm_a, scan.dm_b, scan.p_a2, scan.p_b1,
+                                    scan.feasible)]
+    header = "sigma1,eta_a1,k,dm_a,dm_b,p_a2,p_b1,feasible"
     path = out
     try:
-        sigma1 = _formatted([scan.sigma1])
-        eta_a1 = _formatted([scan.eta_a1])
-        _write_csv(
-            out,
-            "sigma1,eta_a1,k,dm_a,dm_b,p_a2,p_b1,feasible",
-            [sigma1 * len(eta_a1),
-             list(chain.from_iterable(repeat(e, len(sigma1)) for e in eta_a1))]
-            + [a.ravel() for a in grid_columns],
-        )
-        print(f"wrote {total} nodes to {out}")
-        if args.plot:
-            path = script
-            _write_lines(
-                script,
-                [
+        with closing(_write_csvs([], [(out, header, columns)])) as written:
+            next(written)
+            print(f"wrote {total} nodes to {out}")
+            if args.plot:
+                path = script
+                _write(script, (f"{line}\n" for line in [
                     "set datafile separator ','",
                     "set xlabel 'sigma1'",
                     "set ylabel 'eta_a1'",
                     f"plot '{out.name}' skip 1 using ($8 == 1 ? $1 : 1/0):2 "
                     "with points pt 7 ps 0.4 title 'feasible'",
-                ],
-            )
-            print(f"wrote plot script {script}")
+                ]))
+                print(f"wrote plot script {script}")
     except OSError as exc:
         return _fail(f"cannot write {path}: {exc.strerror or exc}")
     if interval.empty:
