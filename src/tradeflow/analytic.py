@@ -1,10 +1,11 @@
 """Closed-form per-regime solutions and their piecewise composition.
 
-Every regime's component solution has the shape c0 + c1*t + c2*exp(-r*t), so
-threshold crossings can be located uniformly: the curvature sign is fixed by
-c2, crossings are bracketed by a convexity argument, and the bracket is shrunk
-by bisection. The bilateral regime is solved in sum/difference coordinates,
-which handles its zero eigenvalue exactly.
+Every regime's component solution has the shape c0 + c1*t + c2*exp(-r*t), with
+a monotone derivative: it crosses the threshold once between ends on opposite
+sides, or dips across and back about its stationary point -log(c1/(r*c2))/r.
+So each stock gives at most one bracket per segment, and one bisection over
+the bracket they share finds the earliest crossing. The bilateral regime is
+solved in sum/difference coordinates, which handles its zero eigenvalue exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Event, GoodEconomy, NormalizedState, Regime
-from .exchange import GUARD_STATE_TOL, bisect, regime_from_sides, sides
+from .exchange import GUARD_STATE_TOL, MAX_SEGMENTS, bisect, regime_from_sides, sides
 
 __all__ = [
     "ExpLinear",
@@ -28,12 +29,6 @@ __all__ = [
     "solve_bilateral",
     "simulate_analytic",
 ]
-
-#: Hard cap on segments per trajectory. Continuous fields cannot chatter and
-#: switch only a few times, so hitting this means rounding makes the closed
-#: form chatter at the threshold (an export equilibrium 1 + n/sigma that
-#: rounds to 1 with sigma above ~1e16*n) or a bug.
-MAX_SEGMENTS = 10_000
 
 #: Each stock with the regimes in which it is above the threshold.
 _ABOVE = (("eta_a", {regime_from_sides(True, b_above) for b_above in (False, True)}),
@@ -57,11 +52,6 @@ class ExpLinear:
         if self.coef == 0.0:
             return self.const + self.slope * t
         return self.const + self.slope * t + self.coef * math.exp(-self.rate * t)
-
-    def derivative(self, t: float) -> float:
-        if self.coef == 0.0:
-            return self.slope
-        return self.slope - self.rate * self.coef * math.exp(-self.rate * t)
 
     def value_array(self, t: np.ndarray) -> np.ndarray:
         if self.coef == 0.0:
@@ -264,73 +254,61 @@ def _ok(form: ExpLinear, above: bool, t: float) -> bool:
     return g > 0.0 if above else g <= 0.0
 
 
-def _on_guard(g: float) -> bool:
-    """``settled`` of the crossing bisection: the excess at bisect's upper
-    end is within the guard tolerance."""
-    return abs(g) <= GUARD_STATE_TOL
+def _extremum(form: ExpLinear) -> float | None:
+    """The form's stationary point, where slope = rate*coef*exp(-rate*t), or None
+    unless slope and rate*coef share a sign. Raises nothing at any sigma: a
+    rate*coef that overflows or underflows gives None, an overflowing ratio -inf."""
+    d = form.rate * form.coef
+    q = form.slope / d if d else 0.0  # NaN fails q > 0.0 too
+    return -math.log(q) / form.rate if q > 0.0 else None
 
 
-def _bisect_crossing(form: ExpLinear, above: bool, lo: float, hi: float, tol: float) -> float:
-    """Shrink a bracket (side holds at lo, violated at hi) and return the
-    violated endpoint, refining past tol until the stock sits on the guard."""
-    # Each test is one call that evaluates ``form.value(t) - 1.0`` inline, in
-    # the same operations; with coef == 0, rate 0 makes the exp term exactly
-    # 0.0 at every finite t, as in value's affine case. Past the crossing it
-    # returns the excess, which bisect keeps for ``settled``.
-    c, s, a, r = form.const, form.slope, form.coef, form.rate
-    if a == 0.0:
-        r = 0.0
-    exp = math.exp
-
-    if above:
-        def past(t):
-            g = c + s * t + a * exp(-r * t) - 1.0
-            return None if g > 0.0 else g
-    else:
-        def past(t):
-            g = c + s * t + a * exp(-r * t) - 1.0
-            return g if g > 0.0 else None
-
-    return bisect(past, lo, hi, tol, _on_guard)[1]
-
-
-def _interior_extremum(form: ExpLinear, lo: float, hi: float, tol: float) -> float | None:
-    """Locate the stationary point of the form inside (lo, hi), if any.
-
-    The derivative is monotone, so a sign change brackets the extremum.
-    """
-    d_lo = form.derivative(lo)
-    d_hi = form.derivative(hi)
-    if not (d_lo < 0.0 < d_hi or d_hi < 0.0 < d_lo):
-        return None
-    lo_sign = d_lo < 0.0
-    return bisect(lambda t: (form.derivative(t) < 0.0) != lo_sign or None, lo, hi, tol,
-                  at_hi=True)[1]
-
-
-def _first_violation(form: ExpLinear, above: bool, dt_max: float, tol: float) -> float | None:
-    """Earliest time in (0, dt_max] where the component leaves its side of the
-    threshold, or None. Returns a point strictly past the crossing."""
+def _bracket(form: ExpLinear, above: bool, dt_max: float,
+             tol: float) -> tuple[float, float] | None:
+    """(lo, hi) about the component's first departure from its side in
+    (0, dt_max]: on the side at lo, past it at hi. None when it stays."""
     lo = 0.0
     if not _ok(form, above, 0.0):
         # Segment starting on the guard (such as a stock at 1 that
         # exchange.sides puts above); step just inside before bracketing.
         lo = min(tol, 0.5 * dt_max)
         if not _ok(form, above, lo):
-            return lo
+            return lo, lo
     if not _ok(form, above, dt_max):
-        return _bisect_crossing(form, above, lo, dt_max, tol)
-    # Both ends on the regime's side: an interior excursion needs the
-    # curvature to bend toward the threshold.
-    if form.coef == 0.0:
-        return None
-    dips_toward_guard = (form.coef > 0.0) if above else (form.coef < 0.0)
-    if not dips_toward_guard:
-        return None
-    t_ext = _interior_extremum(form, lo, dt_max, tol)
-    if t_ext is None or _ok(form, above, t_ext):
-        return None
-    return _bisect_crossing(form, above, lo, t_ext, tol)
+        return lo, dt_max
+    # On its side at both ends: only a form bending toward the threshold can
+    # dip across it and back, and it is furthest across at its extremum.
+    if form.coef > 0.0 if above else form.coef < 0.0:
+        t_ext = _extremum(form)
+        if t_ext is not None and lo < t_ext < dt_max and not _ok(form, above, t_ext):
+            return lo, t_ext
+    return None
+
+
+def _first_crossing(bracketed, tol: float) -> float:
+    """One bisection over [max lo, min hi] for every bracketed (form, above,
+    (lo, hi)): the earliest time at which some form is past its side, refined
+    past tol until each form past it there sits on the guard. A form already
+    past its side at max lo (its crossing falls inside another stock's step-in
+    off the guard) is located just past max lo, within tol of its crossing."""
+    # ``form.value(t) - 1.0`` inline (rate 0 makes an affine exp term exactly
+    # 0.0); past a crossing, an excess off the guard if any, else the last.
+    tests = [(f.const, f.slope, f.coef, f.rate if f.coef else 0.0, above)
+             for f, above, _ in bracketed]
+    exp = math.exp
+
+    def past(t):
+        excess = None
+        for c, s, a, r, above in tests:
+            g = c + s * t + a * exp(-r * t) - 1.0
+            if (g > 0.0) != above:
+                excess = g
+                if not abs(g) <= GUARD_STATE_TOL:
+                    break
+        return excess
+
+    los, his = zip(*[b for *_, b in bracketed])
+    return bisect(past, max(los), min(his), tol, lambda g: abs(g) <= GUARD_STATE_TOL)[1]
 
 
 def simulate_analytic(
@@ -341,10 +319,10 @@ def simulate_analytic(
 ) -> PiecewiseTrajectory:
     """Compose the per-regime closed forms into a full trajectory.
 
-    Each segment runs until a stock crosses the threshold; the crossing is
-    localized on the closed form by bisection to within ``event_tol`` time
-    units, and the next segment starts from the crossing state with the
-    crossed component's side flipped.
+    Each segment runs until a stock crosses the threshold: one bisection over
+    the bracket the stocks' forms share localizes the earliest crossing to
+    within ``event_tol`` time units. The next segment starts just past it, with
+    every bracketed stock that is past the threshold there flipped.
     """
     if not (horizon > 0.0) or not math.isfinite(horizon):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
@@ -364,17 +342,18 @@ def simulate_analytic(
         regime = regime_from_sides(a_above, b_above)
         form_a, form_b = _segment_forms(state, econ, regime)
         remaining = horizon - t
-        hit_a = _first_violation(form_a, a_above, remaining, event_tol)
-        hit_b = _first_violation(form_b, b_above, remaining, event_tol)
-
-        if hit_a is None and hit_b is None:
+        bracket_a = _bracket(form_a, a_above, remaining, event_tol)
+        bracket_b = _bracket(form_b, b_above, remaining, event_tol)
+        if bracket_a is None and bracket_b is None:
             end = NormalizedState(form_a.value(remaining), form_b.value(remaining))
             segments.append(
                 RegimeSegment(regime, t, horizon, state, end, form_a, form_b)
             )
             break
 
-        tau = min(h for h in (hit_a, hit_b) if h is not None)
+        tau = _first_crossing([(form, above, b) for form, above, b in (
+            (form_a, a_above, bracket_a), (form_b, b_above, bracket_b)) if b is not None],
+            event_tol)
         t_end = min(t + tau, horizon)
         if t_end <= t:
             raise RuntimeError(
@@ -385,9 +364,9 @@ def simulate_analytic(
         segments.append(
             RegimeSegment(regime, t, t_end, state, end, form_a, form_b)
         )
-        if hit_a == tau:
+        if bracket_a is not None and (end.eta_a > 1.0) != a_above:
             a_above = not a_above
-        if hit_b == tau:
+        if bracket_b is not None and (end.eta_b > 1.0) != b_above:
             b_above = not b_above
         state = end
         t = t_end

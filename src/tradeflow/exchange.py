@@ -20,13 +20,19 @@ import numpy as np
 
 from .core import GoodEconomy, NormalizedState, Regime
 
-__all__ = ["GUARD_STATE_TOL", "bisect", "exchange_flow", "flow_array", "regime_from_sides",
-           "rhs", "sides"]
+__all__ = ["GUARD_STATE_TOL", "MAX_SEGMENTS", "bisect", "exchange_flow", "flow_array",
+           "regime_from_sides", "rhs", "sides"]
 
 _T = TypeVar("_T")
 
 #: Residual |eta - guard| allowed at a localized crossing.
 GUARD_STATE_TOL = 1e-9
+
+#: Most closed-form segments and located RK4 event steps per run. Continuous
+#: fields switch only a few times, so reaching it means a bug or rounding that
+#: chatters at the threshold (an export equilibrium 1 + n/sigma that rounds to
+#: 1 with sigma above ~1e16*n, or a stiff RK4 step).
+MAX_SEGMENTS = 10_000
 
 
 def exchange_flow(state: NormalizedState) -> float:

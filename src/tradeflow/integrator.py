@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .core import Event, GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
-from .exchange import GUARD_STATE_TOL, bisect, flow_array, regime_from_sides, sides
+from .exchange import GUARD_STATE_TOL, MAX_SEGMENTS, bisect, flow_array, regime_from_sides, sides
 from .money import money_holdings
 
 __all__ = [
@@ -231,7 +231,8 @@ def integrate_with_events(
     localized by bisection to within ``opts.event_tol`` time units, recorded,
     and used as the restart point. Under the halt policy a crossing of
     eta = 0 is localized the same way and terminates the series with a
-    depletion event. Identical inputs produce bit-identical output.
+    depletion event. Identical inputs produce bit-identical output. More than
+    ``MAX_SEGMENTS`` located event steps (stiff chatter) raise RuntimeError.
     """
     rk4 = _make_rk4(econ)
     policy = opts.depletion_policy
@@ -298,6 +299,7 @@ def integrate_with_events(
 
     a_above, b_above = sides(ea, eb, econ)
     t = 0.0
+    located = 0  # bisected event steps; clamp records are not counted
     while t < horizon:
         h_step = horizon - t
         if h_step < step:
@@ -357,6 +359,10 @@ def integrate_with_events(
         # crossing, eta_b depletion. The earliest wins, with every guard past
         # at its length. The fast-path test above and this list use the same
         # conditions, so the list is never empty.
+        located += 1
+        if located > MAX_SEGMENTS:
+            raise RuntimeError(f"event limit ({MAX_SEGMENTS}) exceeded at t={t!r}; "
+                               "pathological chatter at the threshold")
         flipped = []
         for idx, name, v0, v1 in ((0, "eta_a", ea, e1a), (1, "eta_b", eb, e1b)):
             above0 = b_above if idx else a_above

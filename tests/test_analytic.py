@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from tradeflow import analytic
 from tradeflow.analytic import (
+    ExpLinear,
     RegimeSegment,
     simulate_analytic,
     solve_a_exports,
@@ -14,7 +16,7 @@ from tradeflow.analytic import (
     solve_no_exchange,
 )
 from tradeflow.core import GoodEconomy, NormalizedState, Regime
-from tradeflow.exchange import rhs
+from tradeflow.exchange import GUARD_STATE_TOL, rhs
 from tradeflow.integrator import DepletionPolicy, SolverOptions, integrate_with_events
 
 SOLVERS = {
@@ -361,10 +363,11 @@ def test_boundary_start_with_positive_drift_counts_as_above():
     assert traj.segments[0].regime is Regime.A_EXPORTS
 
 
-def test_crossing_bisection_evaluates_each_time_once(monkeypatch):
-    # bisect keeps the excess that `past` returned at the bracket's upper end
-    # and hands it to `settled`: each crossing bisection evaluates the form
-    # (one exp each) once per distinct time it tests
+def _watched_runs(monkeypatch):
+    """The 200 seeded draws with `_bracket`, `bisect` and math.exp watched.
+    Per run: the number of segments that end before the horizon, and per
+    bisection the settle rule, the number of stocks bracketed in its segment
+    and the (time, exp calls) of each test it ran."""
     exp_calls = 0
     real_exp = math.exp
 
@@ -373,29 +376,181 @@ def test_crossing_bisection_evaluates_each_time_once(monkeypatch):
         exp_calls += 1
         return real_exp(x)
 
+    brackets = []
+    real_bracket = analytic._bracket
+
+    def watched_bracket(*args):
+        brackets.append(real_bracket(*args))
+        return brackets[-1]
+
     bisections = []
+    real_bisect = analytic.bisect
 
     def watched_bisect(past, lo, hi, tol=0.0, settled=None, at_hi=None):
-        if settled is None:  # the extremum search, not a crossing
-            return analytic_bisect(past, lo, hi, tol, at_hi=at_hi)
-        times = set()
+        tests = []
 
         def seen(t):
-            times.add(t)
-            return past(t)
+            before = exp_calls
+            value = past(t)
+            tests.append((t, exp_calls - before))
+            return value
 
-        before = exp_calls
-        found = analytic_bisect(seen, lo, hi, tol, settled, at_hi)
-        bisections.append((exp_calls - before, len(times)))
+        found = real_bisect(seen, lo, hi, tol, settled, at_hi)
+        # each segment brackets its two stocks before it bisects
+        bisections.append((settled, sum(b is not None for b in brackets[-2:]), tests))
         return found
 
-    analytic_bisect = analytic.bisect
     monkeypatch.setattr(math, "exp", counting_exp)
+    monkeypatch.setattr(analytic, "_bracket", watched_bracket)
     monkeypatch.setattr(analytic, "bisect", watched_bisect)
     rng = np.random.default_rng(31)
+    runs = []
     for _ in range(200):
         econ = _random_econ(rng)
         s0 = NormalizedState(*rng.uniform(0.6, 1.4, size=2))
-        simulate_analytic(s0, econ, 2.0, event_tol=float(rng.choice([1e-10, 1e-6])))
+        traj = simulate_analytic(s0, econ, 2.0, event_tol=float(rng.choice([1e-10, 1e-6])))
+        runs.append((sum(seg.t_end < traj.horizon for seg in traj.segments), bisections[:]))
+        bisections.clear()
+    return runs
+
+
+def test_crossing_bisection_evaluates_each_bracketed_form_once_per_time(monkeypatch):
+    # bisect keeps the excess that `past` returned at the bracket's upper end
+    # and hands it to `settled`: each test evaluates a bracketed stock's form
+    # (one exp each) at most once, and no time is tested twice
+    bisections = [b for _, found in _watched_runs(monkeypatch) for b in found]
     assert len(bisections) >= 50
-    assert [calls for calls, _ in bisections] == [distinct for _, distinct in bisections]
+    assert any(bracketed == 2 for _, bracketed, _ in bisections)
+    for _, bracketed, tests in bisections:
+        assert len({t for t, _ in tests}) == len(tests)
+        assert all(1 <= calls <= bracketed for _, calls in tests)
+
+
+def test_each_segment_that_ends_before_the_horizon_runs_one_bisection(monkeypatch):
+    runs = _watched_runs(monkeypatch)
+    assert sum(ended for ended, _ in runs) >= 50
+    assert [len(found) for _, found in runs] == [ended for ended, _ in runs]
+
+
+def test_every_bisection_runs_with_the_settle_rule(monkeypatch):
+    # |eta - 1| <= GUARD_STATE_TOL at the located end; no extremum search
+    for _, found in _watched_runs(monkeypatch):
+        for settled, _, _ in found:
+            assert settled is not None
+            assert settled(GUARD_STATE_TOL) and settled(-GUARD_STATE_TOL) and settled(0.0)
+            assert not settled(math.nextafter(GUARD_STATE_TOL, 1.0))
+            assert not settled(math.nan)
+
+
+@pytest.mark.parametrize("econ, state0, horizon, first, second_regime", [
+    # A exports: eta_a decays to 0.5 and crosses down at ln 2 (bracket up to
+    # the horizon); eta_b rises to its maximum at ln(1/0.7) = 0.357 and dips
+    # above 1 before it, so its bracket ends at that extremum and it crosses
+    # first
+    (GoodEconomy(0.5, 0.8, 1.0, 1.0, 1.0), NormalizedState(1.5, 0.97), 2.0, "eta_b",
+     Regime.BILATERAL),
+    # eta_b's maximum comes at ln 10 and it crosses after ln 2: the shared
+    # bracket ends at eta_b's extremum, and eta_a's crossing is located in it
+    (GoodEconomy(0.5, 1.4, 1.0, 1.0, 1.0), NormalizedState(1.5, 0.5), 6.0, "eta_a",
+     Regime.NO_EXCHANGE),
+])
+def test_two_bracketed_stocks_locate_the_earlier_crossing(monkeypatch, econ, state0, horizon,
+                                                          first, second_regime):
+    brackets = []
+    real_bracket = analytic._bracket
+    monkeypatch.setattr(analytic, "_bracket",
+                        lambda *args: brackets.append(real_bracket(*args)) or brackets[-1])
+    traj = simulate_analytic(state0, econ, horizon)
+    (lo_a, hi_a), (lo_b, hi_b) = brackets[:2]  # both stocks bracketed in the first segment
+    assert lo_a == lo_b == 0.0 and hi_a == horizon and hi_b < horizon
+    t1 = traj.events[0].t
+    assert [(e.stock, e.t) for e in traj.events if e.t == t1] == [(first, t1)]
+    assert traj.segments[1].regime is second_regime  # only that stock flipped
+    seg = traj.segments[0]
+    form = seg.form_a if first == "eta_a" else seg.form_b
+    # the located time is just past the crossing, within event_tol of it
+    assert (form.value(t1 - 1e-10) > 1.0) != (form.value(t1) > 1.0)
+    assert abs(form.value(t1) - 1.0) <= GUARD_STATE_TOL
+    if first == "eta_a":
+        assert abs(t1 - math.log(2.0)) <= 1e-10
+
+
+def test_a_crossing_inside_the_other_stocks_step_in_is_located_at_the_step_in():
+    # eta_a starts exactly on the guard, rises, and ends below it: its bracket
+    # starts after the step-in min(tol, dt/2) = 0.1. eta_b crosses upward at
+    # 0.05, inside that step-in, so it is past at the shared bracket's lower
+    # end and the bisection can only shrink toward it: the crossing is located
+    # just past 0.1, which is within tol of the true crossing
+    tol = 0.1
+    form_a = ExpLinear(1.5, -0.4, -0.5, 1.0)  # value(0) == 1.0 exactly
+    form_b = ExpLinear(0.9, 2.0, 0.0, 0.0)    # crosses 1 at 0.05
+    bracket_a = analytic._bracket(form_a, True, 2.0, tol)
+    bracket_b = analytic._bracket(form_b, False, 2.0, tol)
+    assert bracket_a == (tol, 2.0) and bracket_b == (0.0, 2.0)
+    tau = analytic._first_crossing([(form_a, True, bracket_a), (form_b, False, bracket_b)], tol)
+    assert tol < tau <= math.nextafter(tol, 1.0)
+    assert abs(tau - 0.05) <= tol
+    assert form_a.value(tau) > 1.0 and form_b.value(tau) > 1.0  # only eta_b is past
+
+
+def _derivative_sign(form, t):
+    """Sign of slope - rate*coef*exp(-rate*t) at the float t, in 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(form.slope) - Decimal(form.rate) * Decimal(form.coef) * (
+            -Decimal(form.rate) * Decimal(t)).exp()
+        return d > 0
+
+
+def test_the_extremum_is_within_a_few_ulps_of_the_derivative_sign_change():
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        rate = 10 ** rng.uniform(-2, 2)
+        coef = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2, 2)
+        rate_t = rng.uniform(0.5, 30.0)  # conditioning: 1/|log(slope/(rate*coef))|
+        form = ExpLinear(rng.uniform(-2, 2), rate * coef * math.exp(-rate_t), coef, rate)
+        t = analytic._extremum(form)
+        below = above = t
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        assert _derivative_sign(form, below) != _derivative_sign(form, above)
+
+
+@pytest.mark.parametrize("form", [
+    ExpLinear(1.0, 0.0, 0.5, 1.0),     # slope 0: exp never reaches 0
+    ExpLinear(1.0, 0.0, -0.5, 1.0),
+    ExpLinear(1.0, 0.25, -0.5, 1.0),   # opposite signs: the derivative keeps its sign
+    ExpLinear(1.0, -0.25, 0.5, 1.0),
+    ExpLinear(1.0, 0.25, 0.0, 0.0),    # affine
+])
+def test_no_extremum_without_a_derivative_sign_change(form):
+    assert analytic._extremum(form) is None
+
+
+@pytest.mark.parametrize("sigma", [1e308, 5e-324])
+def test_the_extremum_raises_nothing_at_the_ends_of_the_sigma_range(sigma):
+    # rate*coef overflows at sigma = 1e308 (the bilateral rate 2*sigma is
+    # already inf) and underflows at 5e-324
+    econ = GoodEconomy(1.25, 0.5, 1.0, 1.0, sigma)
+    rng = np.random.default_rng(11)
+    for state in [NormalizedState(*rng.uniform(0.0, 3.0, size=2)) for _ in range(50)]:
+        for regime in Regime:
+            for form, above in zip(analytic._segment_forms(state, econ, regime), (False, True)):
+                analytic._extremum(form)
+                analytic._bracket(form, above, 2.0, 1e-10)
+                analytic._bracket(form, not above, 2.0, 1e-10)
+    for form in (ExpLinear(1.0, 1e-300, 1e300, sigma), ExpLinear(1.0, 1e300, 1e-300, sigma),
+                 ExpLinear(1.0, 1.0, 0.25, sigma), ExpLinear(1.0, 5e-324, 1.0, sigma)):
+        analytic._extremum(form)
+
+
+def test_the_bisection_settles_every_stock_past_the_threshold():
+    # sigma = 1e308: eta_a's export equilibrium rounds to exactly 1, so from
+    # about t = 1e-306 on it sits on the guard, past its side, while eta_b
+    # jumps across the threshold within about 1e-308. The bisection refines
+    # until eta_b sits on the guard too, so only eta_b flips; stopping at
+    # eta_a's residual flipped both and stalled in the next segment
+    econ = GoodEconomy(1.25, 1.0, 1.0, 1.0, 1e308)
+    traj = simulate_analytic(NormalizedState(1.5, 0.8), econ, 2.0)
+    assert [(e.stock, e.detail) for e in traj.events] == [("eta_b", "upward")]
+    assert traj.events[0].t < 1e-300

@@ -15,7 +15,7 @@ from tradeflow import cli
 from tradeflow.analytic import PiecewiseTrajectory, simulate_analytic
 from tradeflow.cli import EXIT_DEPLETION, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from tradeflow.core import GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
-from tradeflow.exchange import exchange_flow
+from tradeflow.exchange import MAX_SEGMENTS, exchange_flow
 from tradeflow.integrator import integrate_with_events
 from tradeflow.region import KInterval
 from tradeflow.scenario import parse_scenario
@@ -1304,3 +1304,31 @@ def test_the_closed_form_holds_over_the_legal_sigma_range(tmp_path, capsys, sigm
     assert out.read_text().splitlines()[1].split(",")[:3] == ["0", "1.5", "0.5"]
     if float(sigma) < 1.0:
         assert "event" not in printed.out
+
+
+@pytest.mark.parametrize("mode", ["numeric", "both", "analytic"])
+def test_stiff_chatter_at_the_threshold_ends_at_the_event_cap(tmp_path, capsys, mode):
+    # crossing.scenario from eta_a = 1 at sigma = 1e25: each RK4 step of 0.001
+    # overshoots the threshold, so RK4 located ~43,000 crossings near
+    # t = 1.2e-11 in 3 s and did not finish; the closed form chatters too
+    path = tmp_path / "run.scenario"
+    path.write_text(CROSSING.replace("sigma = 1\n", "sigma = 1e25\n").replace(
+        "eta_a = 0.5", "eta_a = 1"))
+    assert main(["simulate", str(path), f"--{mode}", "--out", str(tmp_path / "o.csv")]) \
+        == EXIT_NUMERIC
+    err = capsys.readouterr().err.splitlines()
+    limit = "segment limit" if mode == "analytic" else "event limit"
+    assert len(err) == 1 and err[0].startswith(f"error: simulate --{mode} failed: {limit} "
+                                                f"({MAX_SEGMENTS}) exceeded at t=")
+    assert err[0].endswith("; pathological chatter at the threshold")
+
+
+def test_clamp_records_do_not_count_toward_the_event_cap(tmp_path, capsys):
+    # eta_a is clamped to zero at every step from t = 1 to 150: 14,901 records
+    path = tmp_path / "run.scenario"
+    path.write_text(CLAMPED.replace("horizon = 10\n", "horizon = 150\n"))
+    assert main(["simulate", str(path), "--numeric", "--out", str(tmp_path / "o.csv")]) \
+        == EXIT_OK
+    printed = capsys.readouterr()
+    assert printed.err == ""
+    assert printed.out.count(": clamped eta_a to zero\n") == 14901 > MAX_SEGMENTS
