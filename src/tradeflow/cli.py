@@ -22,6 +22,7 @@ import numpy as np
 from .analytic import PiecewiseTrajectory, simulate_analytic
 from .core import GoodEconomy, MoneyState, PriceSet
 from .exchange import flow_array
+from .floatfmt import float_args
 from .integrator import TimeSeries, integrate_with_events
 from .money import fixed_point_production, money_holdings, one_good_money_rates
 from .region import feasible_k_interval, scan_region
@@ -44,9 +45,12 @@ _CHUNK_ROWS = 2048
 #: of more than one file counted once. A split costs a fork, the wait for the
 #: child and the page faults that the fork leaves to the rest of the process;
 #: it saves half the formatting. On a 2-core host at about 40 MB resident, a
-#: loop of one file formatted, a small op, a collection and a reference
-#: computation ran faster split in about half the pairs from 24576 to 40002
-#: values, a wash, and in 15 to 19 of 16 to 20 pairs from 49152. No CLI file
+#: loop of one file of 6 columns of region values formatted, a small op, a
+#: collection and a reference computation ran faster split in 7 to 10 of
+#: 16 pairs from 24576 to 49152 values (a wash: median split/single time
+#: 0.94 to 1.005), in 11 of 16 at 57344 (0.96) and in 11 to 16 of 16 from
+#: 65536 (0.83 to 0.85), with floats formatted by `float_args`. A bound of
+#: 57344 would change no benchmark workload, so it stays at 49152. No CLI file
 #: has more than 6 array columns, so a command that writes one file under
 #: 8192 rows never splits; `simulate --both` with prices writes 9 array
 #: columns in all, so it splits from 5462 rows.
@@ -118,40 +122,60 @@ def _write(path: Path, text: Iterable[str]) -> None:
         raise
 
 
-def _block_column(a: np.ndarray, spec: str) -> tuple[str, list]:
-    """One block of an array column as (spec, values) for `_blocks`. When at
-    least half of its rows repeat the row above bit for bit (a float64 by its
-    bits, so -0.0 after 0.0 starts a run), only the run heads are formatted,
-    by ``spec`` in one ``%``, and each row gets its head's string under
-    ``%s``; otherwise the values go to ``spec`` as they are."""
+def _column_args(a: np.ndarray) -> tuple[str, list[list]]:
+    """An array as (spec, arg columns): bools as 0/1, floats by `float_args`."""
+    return ("%d", [a.tolist()]) if a.dtype == bool else float_args(a)
+
+
+def _interleave(columns: list[list]) -> tuple:
+    """The args of parallel arg columns, row by row, for one ``%``."""
+    return tuple(columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns)))
+
+
+def _block_column(a: np.ndarray) -> tuple[str, list[list]]:
+    """One block of an array column as (spec, arg columns) for `_blocks`
+    (`_column_args`): floats print as ``"%.17g" % x`` does, from digits that
+    numpy computes exactly when the block holds only zeros and values with
+    1e-4 <= |x| < 1e16, and by ``%.17g`` itself otherwise (`float_args`).
+    When at least half of its rows repeat the row above bit for bit (a
+    float64 by its bits, so -0.0 after 0.0 starts a run), only the run heads
+    are formatted, by their spec in one ``%``, and each row gets its head's
+    string under ``%s``."""
     keys = a if a.dtype == bool else a.view(np.int64)
     new = np.empty(len(a), dtype=bool)
     new[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new[1:])
     heads = np.count_nonzero(new)
     if 2 * heads > len(a):
-        return spec, a.tolist()
-    text = (((spec + "\n") * heads) % tuple(a[new].tolist())).split("\n")
-    return "%s", np.array(text, dtype=object)[np.cumsum(new) - 1].tolist()
+        return _column_args(a)
+    spec, args = _column_args(a[new])
+    text = (((spec + "\n") * heads) % _interleave(args)).split("\n")
+    return "%s", [np.array(text, dtype=object)[np.cumsum(new) - 1].tolist()]
 
 
 def _blocks(columns: list) -> Iterator[str]:
     """The rows of parallel columns as text, each row ended by a newline, one
-    string per block of `_CHUNK_ROWS` rows: float arrays as ``%.17g`` (the
-    bytes of ``f"{x:.17g}"``), bool arrays as 0/1, lists of strings as they
-    are. Each block is formatted by a single ``%``; an array column whose
-    block is at least half repeats formats each run once (`_block_column`).
-    `_write_csvs` may run it on each half of the rows in its own process."""
-    specs = ["%s" if not isinstance(c, np.ndarray) else "%d" if c.dtype == bool else "%.17g"
-             for c in columns]
+    string per block of `_CHUNK_ROWS` rows: float arrays as the bytes of
+    ``"%.17g" % x``, bool arrays as 0/1, lists of strings as they are. A
+    float column's block that holds only zeros and values with
+    1e-4 <= |x| < 1e16, which print without an exponent, gets its digits
+    from an exact computation in numpy, Dekker's error-free product with a
+    power of ten (`floatfmt.decimal_digits`); any other block is formatted
+    by ``%.17g``. Each block is formatted by a single ``%``; an array column
+    whose block is at least half repeats formats each run once
+    (`_block_column`). `_write_csvs` may run it on each half of the rows in
+    its own process."""
     n = len(columns[0])
     for lo in range(0, n, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n)
-        block_specs, block = zip(*(
-            _block_column(c[lo:hi], s) if isinstance(c, np.ndarray) else (s, c[lo:hi])
-            for c, s in zip(columns, specs)))
-        fmt = ",".join(block_specs) + "\n"
-        yield (fmt * (hi - lo)) % tuple(chain.from_iterable(zip(*block)))
+        specs, args = [], []
+        for c in columns:
+            spec, c_args = (_block_column(c[lo:hi]) if isinstance(c, np.ndarray)
+                            else ("%s", [c[lo:hi]]))
+            specs.append(spec)
+            args += c_args
+        fmt = ",".join(specs) + "\n"
+        yield (fmt * (hi - lo)) % _interleave(args)
 
 
 def _tables(lead: list, tables: list[list], lo: int, hi: int) -> Iterator[Iterator[str]]:

@@ -1,4 +1,5 @@
 import errno
+import functools
 import hashlib
 import os
 import random
@@ -16,6 +17,7 @@ from tradeflow.analytic import PiecewiseTrajectory, simulate_analytic
 from tradeflow.cli import EXIT_DEPLETION, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from tradeflow.core import GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
 from tradeflow.exchange import MAX_SEGMENTS, exchange_flow
+from tradeflow.floatfmt import float_args
 from tradeflow.integrator import integrate_with_events
 from tradeflow.region import KInterval
 from tradeflow.scenario import parse_scenario
@@ -297,8 +299,8 @@ def test_write_csv_with_runs_matches_per_value_rendering(tmp_path):
                              np.repeat(np.arange(size // 2) / 11 + 1.0, 2),
                              np.full(size + 1, 1 / 3)])
     paired[2 * size - 1] = -5.0
-    assert cli._block_column(paired[:size], "%.17g")[0] == "%s"
-    assert cli._block_column(paired[size:2 * size], "%.17g")[0] == "%.17g"
+    assert cli._block_column(paired[:size])[0] == "%s"
+    assert cli._block_column(paired[size:2 * size])[0] == "%s%d"
     zeros = np.zeros(n)
     zeros[::97] = -0.0  # -0.0 prints apart from the 0.0 runs around it
     zeros[500:510] = -0.0
@@ -369,6 +371,174 @@ def test_split_writer_matches_per_value_rendering(tmp_path, forks, n):
     assert lead_path.read_text() == "".join(f"{row.rsplit(',', 2)[0]}\n"
                                             for row in expected.split("\n")[:-1])
     assert len(forks) == (1 if n >= SPLIT_ROWS else 0)
+
+
+def _halfway_cases(rng, size):
+    # q / 2**r with q odd and r = 14..21: exactly r places after the point,
+    # and q * 5**r of 18 digits, so 18 significant digits ending in 5, a tie
+    # at the 17th digit that %.17g breaks to even
+    blocks = []
+    for r in range(14, 22):
+        lo, hi = -(-10**17 // 5**r), (10**18 - 1) // 5**r
+        q = rng.integers(lo // 2, hi // 2, size) * 2 + 1
+        blocks.append(np.ldexp(q.astype(float), -r) * rng.choice([-1.0, 1.0], size))
+    return blocks
+
+
+def _near_powers_of_ten():
+    # 10**k and two doubles on each side of it, with 17-digit literals
+    # just below a power of ten, as (inside, outside) [1e-4, 1e16)
+    values = [0.99999999999999994, 9.9999999999999995e-05, 9.9999999999999995e-06]
+    for k in range(-4, 17):
+        p = float(f"1e{k}")
+        down, up = np.nextafter(p, 0.0), np.nextafter(p, np.inf)
+        values += [p, down, np.nextafter(down, 0.0), up, np.nextafter(up, np.inf)]
+    values = np.array(values + [-v for v in values])
+    inside = (np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)
+    return values[inside], values[~inside]
+
+
+@functools.cache
+def _float_cases():
+    """About 1.1M seeded float64 values in blocks of at most `_CHUNK_ROWS`,
+    each block one kind of probe of the exact digits of `float_args`."""
+    rng = np.random.default_rng(22)
+    size = cli._CHUNK_ROWS
+    blocks = []
+    for _ in range(380):
+        # log-uniform over a random part of 1e-6 to 1e18, both signs: some
+        # blocks lie in [1e-4, 1e16), the others take the %.17g path
+        lo, hi = np.sort(rng.uniform(-6.0, 18.0, 2))
+        blocks.append(rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(lo, hi, size))
+    for _ in range(20):  # zeros of both signs among values that print no exponent
+        b = rng.uniform(-1e3, 1e3, size)
+        b[rng.random(size) < 0.3] = 0.0
+        b[rng.random(size) < 0.3] = -0.0
+        blocks.append(b)
+    for scale in [10**3, 10**9, 10**15, 9 * 10**15]:  # integers and one ulp about them
+        whole = rng.integers(-scale, scale, size).astype(float)
+        blocks += [whole, np.nextafter(whole, -np.inf), np.nextafter(whole, np.inf)]
+        blocks += [np.nextafter(whole + 0.5, -np.inf), np.nextafter(whole + 0.5, np.inf)]
+    for _ in range(10):
+        blocks += _halfway_cases(rng, size)
+    inside, outside = _near_powers_of_ten()
+    blocks += [inside, outside,
+               np.concatenate([inside, rng.uniform(1.0, 2.0, size - len(inside))])]
+    return blocks
+
+
+def test_float_blocks_match_percent_17g_one_block_at_a_time():
+    blocks = _float_cases()
+    assert sum(map(len, blocks)) >= 1_000_000
+    exact = 0
+    for b in blocks:
+        assert "".join(cli._blocks([b])) == "".join(["%.17g\n" % v for v in b.tolist()])
+        exact += float_args(b)[0] != "%.17g"
+    assert 0 < exact < len(blocks)  # both paths are taken
+
+
+@needs_fork
+def test_split_writer_matches_percent_17g_on_a_million_values(tmp_path, forks):
+    # four columns, one quarter of the values each: the child's half starts
+    # at row n//2, so its blocks straddle those of `_float_cases`
+    values = np.concatenate(_float_cases())
+    n = len(values) // 4
+    columns = [values[i * n:(i + 1) * n] for i in range(4)]
+    path = tmp_path / "out.csv"
+    _write_csv(path, "a,b,c,d", columns)
+    expected = "".join(["%.17g,%.17g,%.17g,%.17g\n" % row
+                        for row in zip(*(c.tolist() for c in columns))])
+    assert path.read_bytes() == ("a,b,c,d\n" + expected).encode()
+    assert len(forks) == 1
+
+
+#: Seeded float64 values built from integer mantissas and exponents, never
+#: by np.power, whose result itself differs by CPU: |x| in [2**-13, 2**53),
+#: inside [1e-4, 1e16), and each side of the powers of ten there.
+CPU_CASES = """
+import numpy as np
+rng = np.random.default_rng(12)
+mantissa = rng.integers(1 << 52, 1 << 53, 1 << 18).astype(float)
+values = np.ldexp(mantissa, rng.integers(-65, 1, 1 << 18)) * rng.choice([-1.0, 1.0], 1 << 18)
+powers = np.array([float(f"1e{k}") for k in range(-4, 16)])
+values = np.concatenate([values, powers, np.nextafter(powers, np.inf),
+                         np.nextafter(powers[1:], 0.0)])
+"""
+
+
+#: The AVX-512 dispatch targets of numpy, which the subprocess switches off.
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_float_bytes_do_not_depend_on_the_cpu_features():
+    # np.log10, whose floor guesses the exponent, is SIMD-dispatched; the
+    # digits must not move with AVX-512 off
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    on = [name for name in AVX512_TARGETS if __cpu_features__.get(name)]
+    if not on:
+        pytest.skip("numpy dispatches no AVX-512 kernel on this CPU")
+    cases = {}
+    exec(CPU_CASES, cases)
+    values = cases["values"]
+    assert all(float_args(values[i:i + cli._CHUNK_ROWS])[0] == "%s%d"
+               for i in range(0, len(values), cli._CHUNK_ROWS))
+    here = hashlib.sha256("".join(cli._blocks([values])).encode()).hexdigest()
+    code = CPU_CASES + (
+        "import hashlib\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "from tradeflow import cli\n"
+        f"print(*(__cpu_features__.get(name, False) for name in {on!r}))\n"
+        "print(hashlib.sha256(''.join(cli._blocks([values])).encode()).hexdigest())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               NPY_DISABLE_CPU_FEATURES=",".join(AVX512_TARGETS))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    features, digest = proc.stdout.splitlines()
+    assert features.split() == ["False"] * len(on)  # the kernels really differ
+    assert digest == here
+
+
+def _exact_share(monkeypatch, argv):
+    """The share of the float values (rows times float columns, a lead that
+    two files share once) that a command formats on the exact digit path,
+    formatting in this one process."""
+    counts = {True: 0, False: 0}
+    block_column = cli._block_column
+    last = []
+
+    def watched_args(x):
+        spec, args = float_args(x)
+        last.append(spec != "%.17g")
+        return spec, args
+
+    def watched_block(a):
+        last.clear()
+        written = block_column(a)
+        if last:  # a float block, formatted whole or by its run heads
+            counts[last[0]] += len(a)
+        return written
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli, "float_args", watched_args)
+    monkeypatch.setattr(cli, "_block_column", watched_block)
+    assert main(argv) == EXIT_OK
+    return counts[True] / (counts[True] + counts[False])
+
+
+@pytest.mark.parametrize("argv, least", [
+    (["region", "fig2.scenario"], 1.0),
+    # the rest is the discrepancy column and the `f` block where the flow
+    # rises from 0, both under 1e-4
+    (["simulate", "crossing.scenario", "--both"], 0.8),
+], ids=["region-fig2", "simulate-crossing-both"])
+def test_exact_digits_format_the_bundled_runs(tmp_path, monkeypatch, argv, least):
+    # a fallback to %.17g keeps the bytes but not the speed
+    command, scenario, *flags = argv
+    share = _exact_share(monkeypatch, [command, str(SCENARIO_DIR / scenario), *flags,
+                                       "--out", str(tmp_path / "out.csv")])
+    assert share >= least
 
 
 @needs_fork
@@ -672,9 +842,9 @@ def test_analytic_money_file_matches_per_value_rendering(tmp_path, monkeypatch):
     fired = []  # per array-column block: were only the run heads formatted?
     block_column = cli._block_column
 
-    def watched(a, spec):
-        written = block_column(a, spec)
-        fired.append(written[0] != spec)
+    def watched(a):
+        written = block_column(a)
+        fired.append(written[0] == "%s")
         return written
 
     monkeypatch.setattr(cli, "_block_column", watched)
