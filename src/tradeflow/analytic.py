@@ -59,19 +59,6 @@ class ExpLinear:
         return self.const + self.slope * t + self.coef * np.exp(-self.rate * t)
 
 
-def _check_dt(dt: float) -> None:
-    if not (dt >= 0.0) or not math.isfinite(dt):
-        raise ValueError(f"dt must be a finite non-negative time, got {dt!r}")
-
-
-def _check_sigma_positive(econ: GoodEconomy, regime_name: str) -> None:
-    if econ.sigma <= 0.0:
-        raise ValueError(
-            f"{regime_name} requires sigma > 0; with sigma = 0 the dynamics are "
-            "decoupled and linear (dispatch to solve_no_exchange)"
-        )
-
-
 def _export_forms(
     e_lead: float, e_follow: float, n_lead: float, n_follow: float, sigma: float
 ) -> tuple[ExpLinear, ExpLinear]:
@@ -114,39 +101,40 @@ def _segment_forms(
     return form_a, form_b
 
 
-def solve_no_exchange(state0: NormalizedState, econ: GoodEconomy, dt: float) -> NormalizedState:
-    """Linear evolution of both stocks at their net production rates."""
-    _check_dt(dt)
+def _solve(state0: NormalizedState, econ: GoodEconomy, dt: float,
+           regime: Regime) -> NormalizedState:
+    """Both stocks after dt in one regime: its segment forms evaluated at dt."""
+    if not (dt >= 0.0) or not math.isfinite(dt):
+        raise ValueError(f"dt must be a finite non-negative time, got {dt!r}")
+    if econ.sigma <= 0.0 and regime is not Regime.NO_EXCHANGE:
+        raise ValueError(
+            f"solve_{regime.value} requires sigma > 0; with sigma = 0 the dynamics "
+            "are decoupled and linear (dispatch to solve_no_exchange)"
+        )
     if dt == 0.0:
         return state0
-    return NormalizedState(
-        state0.eta_a + econ.net_a * dt, state0.eta_b + econ.net_b * dt
-    )
+    form_a, form_b = _segment_forms(state0, econ, regime)
+    return NormalizedState(form_a.value(dt), form_b.value(dt))
+
+
+def solve_no_exchange(state0: NormalizedState, econ: GoodEconomy, dt: float) -> NormalizedState:
+    """Linear evolution of both stocks at their net production rates."""
+    return _solve(state0, econ, dt, Regime.NO_EXCHANGE)
 
 
 def solve_a_exports(state0: NormalizedState, econ: GoodEconomy, dt: float) -> NormalizedState:
     """Closed form with country A above threshold driving the flow."""
-    _check_dt(dt)
-    _check_sigma_positive(econ, "solve_a_exports")
-    if dt == 0.0:
-        return state0
-    form_a, form_b = _segment_forms(state0, econ, Regime.A_EXPORTS)
-    return NormalizedState(form_a.value(dt), form_b.value(dt))
+    return _solve(state0, econ, dt, Regime.A_EXPORTS)
 
 
 def solve_b_exports(state0: NormalizedState, econ: GoodEconomy, dt: float) -> NormalizedState:
-    """Mirror image of :func:`solve_a_exports` with the countries swapped."""
-    return solve_a_exports(state0.swapped(), econ.swapped(), dt).swapped()
+    """Closed form with country B above threshold driving the flow."""
+    return _solve(state0, econ, dt, Regime.B_EXPORTS)
 
 
 def solve_bilateral(state0: NormalizedState, econ: GoodEconomy, dt: float) -> NormalizedState:
     """Closed form with both countries above threshold."""
-    _check_dt(dt)
-    _check_sigma_positive(econ, "solve_bilateral")
-    if dt == 0.0:
-        return state0
-    form_a, form_b = _segment_forms(state0, econ, Regime.BILATERAL)
-    return NormalizedState(form_a.value(dt), form_b.value(dt))
+    return _solve(state0, econ, dt, Regime.BILATERAL)
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,6 @@ class NormalizedState:
         _require_finite("eta_a", self.eta_a)
         _require_finite("eta_b", self.eta_b)
 
-    def swapped(self) -> "NormalizedState":
-        return NormalizedState(self.eta_b, self.eta_a)
-
 
 @dataclass(frozen=True)
 class GoodEconomy:
@@ -89,10 +86,6 @@ class GoodEconomy:
     @property
     def net_b(self) -> float:
         return self.p_b - self.c_b
-
-    def swapped(self) -> "GoodEconomy":
-        """Mirror the two countries' roles."""
-        return GoodEconomy(self.p_b, self.p_a, self.c_b, self.c_a, self.sigma)
 
 
 class Regime(Enum):

@@ -16,6 +16,9 @@ _POW10 = np.array([float(10**k) for k in range(23)])
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _INT_POW10 = np.array([10**k for k in range(19)], dtype=np.int64)
+#: float(1e{17-k}) at row k = 0..21, each at least 10**(17-k): for k =
+#: 16-X, 10**(X+1) at row k and 10**X at row k + 1.
+_TEN_TO = np.array([float(f"1e{17 - k}") for k in range(22)])
 
 
 def decimal_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -23,37 +26,28 @@ def decimal_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``a`` in [1e-4, 1e16), as (D, places): the int64 D in [10**16, 10**17)
     and the count of its digits that fall after the point, from 1 to 20.
 
-    X = floor(log10 a) is a guess, since log10 is SIMD-dispatched, corrected
-    until 10**16 <= a*10**(16-X) < 10**17 holds exactly. 10**(16-X) is an
-    exact double (16-X <= 22), and Dekker's split product gives
-    p + e = a*10**(16-X) exactly, with p the rounded product. p is an even
-    integer of at least 2**53, so D = p + rint(e) is the half-even rounding
-    of the exact product to an integer: the digits that ``%.17g`` prints,
-    which rounds half to even too. D = 10**17 becomes 10**16 at X + 1."""
-    exp10 = np.floor(np.log10(a)).astype(np.int64)
+    X = floor(log10 a), a guess off by at most one (log10 is
+    SIMD-dispatched), moves up once if a >= float(1e{X+1}), then down once
+    if a < float(1e{X}). Each such double, the nearest to its power of ten,
+    is at or above it, so it is the least double there, each test is exact
+    and 10**X <= a < 10**(X+1) holds. Dekker's split product with the exact
+    double 10**(16-X) gives p + e = a*10**(16-X) exactly, with p the rounded
+    product, an even integer of at least 2**53. So D = p + rint(e) is the
+    exact product rounded half to even, as ``%.17g`` rounds. D < 10**17: the
+    double just below each power of ten in range prints short of it at 17
+    digits (such as 0.099999999999999992), so none rounds up to it."""
     c = a * 134217729.0  # Veltkamp's split of a into two 26-bit halves
     a_hi = c - (c - a)
     a_lo = a - a_hi
-    while True:
-        k = 16 - exp10
-        p = a * _POW10[k]
-        t_hi, t_lo = _POW10_HI[k], _POW10_LO[k]
-        e = a_lo * t_lo - (((p - a_hi * t_hi) - a_lo * t_hi) - a_hi * t_lo)
-        if p.min() > 1e16 and p.max() < 1e17:  # then p + e is in range too
-            break
-        low = (p < 1e16) | ((p == 1e16) & (e < 0))
-        high = (p > 1e17) | ((p == 1e17) & (e >= 0))
-        if not (low.any() or high.any()):
-            break
-        exp10 += high
-        exp10 -= low
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)  # k = 16-X throughout
+    k -= a >= _TEN_TO[k]
+    k += a < _TEN_TO[1:][k]
+    p = a * _POW10[k]
+    t_hi, t_lo = _POW10_HI[k], _POW10_LO[k]
+    e = a_lo * t_lo - (((p - a_hi * t_hi) - a_lo * t_hi) - a_hi * t_lo)
     digits = p.astype(np.int64)
     digits += np.rint(e).astype(np.int64)
-    carry = digits == 10**17
-    if carry.any():
-        digits[carry] = 10**16
-        exp10 += carry
-    return digits, 16 - exp10
+    return digits, k
 
 
 def _prefix(key: int) -> str:

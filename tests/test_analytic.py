@@ -86,8 +86,10 @@ def test_b_exports_is_the_mirror_of_a_exports():
         econ = _random_econ(rng)
         s0 = NormalizedState(rng.uniform(0, 3), rng.uniform(0, 3))
         dt = rng.uniform(0, 4)
-        mirrored = solve_a_exports(s0.swapped(), econ.swapped(), dt).swapped()
-        assert solve_b_exports(s0, econ, dt) == mirrored
+        mirror = solve_a_exports(NormalizedState(s0.eta_b, s0.eta_a),
+                                 GoodEconomy(econ.p_b, econ.p_a, econ.c_b, econ.c_a,
+                                             econ.sigma), dt)
+        assert solve_b_exports(s0, econ, dt) == NormalizedState(mirror.eta_b, mirror.eta_a)
 
 
 def test_b_exports_equilibrium_component():

@@ -1,18 +1,20 @@
 import errno
 import functools
 import hashlib
+import math
 import os
 import random
 import subprocess
 import sys
 import tempfile
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tradeflow import cli
+from tradeflow import cli, floatfmt
 from tradeflow.analytic import PiecewiseTrajectory, simulate_analytic
 from tradeflow.cli import EXIT_DEPLETION, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from tradeflow.core import GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
@@ -435,6 +437,35 @@ def test_float_blocks_match_percent_17g_one_block_at_a_time():
         assert "".join(cli._blocks([b])) == "".join(["%.17g\n" % v for v in b.tolist()])
         exact += float_args(b)[0] != "%.17g"
     assert 0 < exact < len(blocks)  # both paths are taken
+
+
+def test_each_exponent_bound_is_the_least_double_at_or_above_its_power_of_ten():
+    # so a >= bound exactly when a >= its power of ten, and `decimal_digits`
+    # settles each exponent with two comparisons
+    for k, bound in enumerate(floatfmt._TEN_TO.tolist()):
+        assert Decimal(math.nextafter(bound, 0.0)) < Decimal(10) ** (17 - k) <= Decimal(bound)
+
+
+@pytest.mark.parametrize("shift", [-0.5, 0.5], ids=["low", "high"])
+def test_a_log10_guess_off_by_one_is_settled(monkeypatch, shift):
+    # log10 is SIMD-dispatched, so its floor may miss the exponent by one
+    # about a power of ten, on either side
+    rng = np.random.default_rng(23)
+    a = np.concatenate([np.abs(_near_powers_of_ten()[0]), 10.0 ** rng.uniform(-4, 16, 10**4)])
+    a = a[a < 1e16]
+    expected = floatfmt.decimal_digits(a)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
+    for got, want in zip(floatfmt.decimal_digits(a), expected):
+        assert np.array_equal(got, want)
+
+
+def test_the_double_below_each_power_of_ten_prints_short_of_it():
+    # so no value in [1e-4, 1e16) rounds up to the next power of ten at 17
+    # digits, and `decimal_digits` has no carry to make
+    for k in range(-4, 17):
+        text = "%.17g" % math.nextafter(float(f"1e{k}"), 0.0)
+        assert Decimal(text).normalize().as_tuple().digits != (1,), text
 
 
 @needs_fork
@@ -1415,6 +1446,40 @@ def test_invalid_scenario_file_lists_problems(tmp_path, capsys):
     path.write_text("[model]\nkind = one-good\n")
     assert main(["simulate", str(path), "--out", str(tmp_path / "x.csv")]) == EXIT_INPUT
     assert "good1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, error", [
+    ("simulate", CROSSING[:CROSSING.index("[initial]")] + CROSSING[CROSSING.index("[solver]"):],
+     "simulate requires an [initial] section"),
+    ("simulate", CROSSING[:CROSSING.index("[solver]")],
+     "simulate requires a [solver] section (horizon)"),
+    ("simulate", CROSSING + "depletion_policy = stop\n",
+     "[solver].depletion_policy must be one of ['clamp_to_zero', 'continue', 'halt'], "
+     "got 'stop'"),
+    ("fixed-point", FIG2, "fixed-point requires a one-good scenario"),
+    ("fixed-point", CROSSING + "[prices1]\nx_a = 1\nx_b = 3\ny = 2\n",
+     "supply --eta-star or an eta_star key in [good1]"),
+    ("region", CROSSING, "region requires a two-good scenario"),
+], ids=["no_initial", "no_solver", "unknown_policy", "fixed_point_two_good",
+        "fixed_point_no_eta_star", "region_one_good"])
+def test_scenario_unfit_for_the_command_is_one_error_line(tmp_path, capsys, command, text,
+                                                          error):
+    path = tmp_path / "run.scenario"
+    path.write_text(text)
+    out = tmp_path / "o.csv"
+    argv = [command, str(path)] + ([] if command == "fixed-point" else ["--out", str(out)])
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not out.exists()
+
+
+def test_fixed_point_with_sigma_zero_never_depletes_the_importer(tmp_path, capsys):
+    path = tmp_path / "run.scenario"
+    path.write_text((SCENARIO_DIR / "steady_state.scenario").read_text().replace(
+        "sigma = 2\n", "sigma = 0\n"))
+    assert main(["fixed-point", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith(
+        "\n  p_b reaches zero at sigma*(eta_a - 1) = c_b = 2 (unreachable with sigma = 0)\n")
 
 
 @pytest.mark.parametrize("money", ["m_a = 5\n", "m_b = -0.5\n"], ids=["m_a", "m_b"])

@@ -34,10 +34,9 @@ def test_economy_rejects_negative_rates():
         GoodEconomy(p_a=0.0, p_b=0.0, c_a=0.0, c_b=0.0, sigma=-1.0)
 
 
-def test_economy_swapped_mirrors_countries():
-    e = GoodEconomy(1.0, 2.0, 3.0, 4.0, 5.0)
-    assert e.swapped() == GoodEconomy(2.0, 1.0, 4.0, 3.0, 5.0)
-    assert e.net_a == -2.0 and e.net_b == -2.0
+def test_economy_net_rates_are_production_minus_consumption():
+    e = GoodEconomy(1.0, 2.0, 3.0, 5.0, 5.0)
+    assert e.net_a == -2.0 and e.net_b == -3.0
 
 
 def test_money_state_allows_debt():

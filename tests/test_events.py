@@ -61,6 +61,12 @@ def _xfail(repro, item):
                  SolverOptions(horizon=10.0, step=0.01), id="halt-depletion",
                  marks=_xfail("eta_a reaches zero at t = 1: RK4 halts with a depletion, "
                               "the closed form ignores the policy", 5)),
+    pytest.param(NormalizedState(1.0, 1.0),
+                 GoodEconomy(1.5, 2.2289003611573666, 1.5, 2.1820286560439563, 1.0),
+                 SolverOptions(horizon=5.748370082019018, step=0.01), id="spurious-crossings",
+                 marks=_xfail("eta_a starts at 1 and rises: the closed form logs it up, down, "
+                              "up, down, up before t = 1.2e-7, RK4 logs one upward crossing",
+                              10)),
 ])
 def test_engines_log_the_same_events(state0, econ, opts):
     series, traj = _both_engines(state0, econ, opts)

@@ -159,7 +159,8 @@ def goods(draw, exporter: str, two: bool) -> tuple[GoodEconomy, float | None]:
     productions the parser derives from it (when that fixed point exists)."""
     c_a, c_b, sigma = draw(RATES), draw(RATES), draw(RATES)
     if draw(st.booleans()):
-        eta_star = draw(st.floats(1.0, 3.0, exclude_min=two) | st.floats(1.0, 1e308))
+        eta_star = draw(st.floats(1.0, 3.0, exclude_min=two)
+                        | st.floats(1.0, 1e308, exclude_min=two))
         c_exp, c_imp = (c_a, c_b) if exporter == "a" else (c_b, c_a)
         try:
             p_exp, p_imp = fixed_point_production(eta_star, c_exp, c_imp, sigma)
