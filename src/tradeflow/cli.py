@@ -13,16 +13,16 @@ import re
 import sys
 import warnings
 from contextlib import ExitStack, closing
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .analytic import PiecewiseTrajectory, simulate_analytic
-from .core import GoodEconomy, MoneyState, PriceSet
+from .core import GoodEconomy, MoneyState, PriceSet, Regime
 from .exchange import flow_array
-from .floatfmt import float_args
+from .floatfmt import float_slots
 from .integrator import TimeSeries, integrate_with_events
 from .money import fixed_point_production, money_holdings, one_good_money_rates
 from .region import feasible_k_interval, scan_region
@@ -36,8 +36,8 @@ EXIT_DEPLETION = 3
 #: Largest analytic/numeric discrepancy tolerated by `simulate --both`.
 SUP_DISCREPANCY_TOL = 1e-6
 
-#: Rows formatted per `%` call by `_blocks`; bounds the Python objects
-#: alive at once while keeping the per-call overhead negligible.
+#: Rows formatted per block by `_blocks`; bounds the buffers alive at once
+#: while keeping the per-call overhead of numpy negligible.
 _CHUNK_ROWS = 2048
 
 #: Values (rows times array columns) from which `_write_csvs` formats all of
@@ -45,15 +45,17 @@ _CHUNK_ROWS = 2048
 #: of more than one file counted once. A split costs a fork, the wait for the
 #: child and the page faults that the fork leaves to the rest of the process;
 #: it saves half the formatting. On a 2-core host at about 40 MB resident, a
-#: loop of one file of 6 columns of region values formatted, a small op, a
-#: collection and a reference computation ran faster split in 7 to 10 of
-#: 16 pairs from 24576 to 49152 values (a wash: median split/single time
-#: 0.94 to 1.005), in 11 of 16 at 57344 (0.96) and in 11 to 16 of 16 from
-#: 65536 (0.83 to 0.85), with floats formatted by `float_args`. A bound of
-#: 57344 would change no benchmark workload, so it stays at 49152. No CLI file
-#: has more than 6 array columns, so a command that writes one file under
-#: 8192 rows never splits; `simulate --both` with prices writes 9 array
-#: columns in all, so it splits from 5462 rows.
+#: loop of one file of 6 columns of region values written, a small op, a
+#: collection and a reference computation ran faster split in 0 to 2 of 16
+#: pairs from 24576 to 81920 values (median split/single time 1.04 to 1.33),
+#: in 10 and 11 of 16 at 98304 (0.97, 0.98) and in 13 to 15 of 16 from
+#: 131072 (0.78 to 0.92), with floats set by `float_slots`. The benchmark's
+#: ops disagree below that: `simulate --both` ops of 90k values ran 19% slower
+#: in one process, and `simulate --analytic` ops of 60k values 1.5% faster,
+#: inside their spread. So the bound stays at 49152. No CLI file has more
+#: than 6 array columns, so a command that writes one file under 8192 rows
+#: never splits; `simulate --both` with prices writes 9 array columns in all,
+#: so it splits from 5462 rows.
 _SPLIT_VALUES = 49152
 
 
@@ -109,85 +111,87 @@ def _load(path: str) -> Scenario | None:
         return None
 
 
-def _write(path: Path, text: Iterable[str]) -> None:
-    """Write the strings of ``text`` as the file at ``path``. A write that
+def _write(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the bytes of ``chunks`` as the file at ``path``. A write that
     raises removes its file."""
-    fh = open(path, "w", encoding="utf-8", newline="\n")
+    fh = open(path, "wb")
     try:
         with fh:
-            fh.writelines(text)
+            fh.writelines(chunks)
     except BaseException:
         if path.is_file():  # not a device such as /dev/full
             path.unlink()
         raise
 
 
-def _column_args(a: np.ndarray) -> tuple[str, list[list]]:
-    """An array as (spec, arg columns): bools as 0/1, floats by `float_args`."""
-    return ("%d", [a.tolist()]) if a.dtype == bool else float_args(a)
+class _Coded:
+    """A column whose rows print as one of a few texts: row i prints as
+    ``table[codes[i]]``, a row of NUL-padded bytes. Sliced, it slices its
+    codes."""
+
+    def __init__(self, table: np.ndarray, codes: np.ndarray):
+        self.table, self.codes = table, codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows: slice) -> _Coded:
+        return _Coded(self.table, self.codes[rows])
 
 
-def _interleave(columns: list[list]) -> tuple:
-    """The args of parallel arg columns, row by row, for one ``%``."""
-    return tuple(columns[0] if len(columns) == 1 else chain.from_iterable(zip(*columns)))
+#: Each regime's name, NUL-padded, at its code in `_REGIME_CODES`.
+_REGIME_NAMES = np.array([r.value for r in Regime], dtype="S").view(np.uint8).reshape(
+    len(Regime), -1)
+_REGIME_CODES = {r.value: i for i, r in enumerate(Regime)}
 
 
-def _block_column(a: np.ndarray) -> tuple[str, list[list]]:
-    """One block of an array column as (spec, arg columns) for `_blocks`
-    (`_column_args`): floats print as ``"%.17g" % x`` does, from digits that
-    numpy computes exactly when the block holds only zeros and values with
-    1e-4 <= |x| < 1e16, and by ``%.17g`` itself otherwise (`float_args`).
-    When at least half of its rows repeat the row above bit for bit (a
-    float64 by its bits, so -0.0 after 0.0 starts a run), only the run heads
-    are formatted, by their spec in one ``%``, and each row gets its head's
-    string under ``%s``."""
-    keys = a if a.dtype == bool else a.view(np.int64)
-    new = np.empty(len(a), dtype=bool)
-    new[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new[1:])
-    heads = np.count_nonzero(new)
-    if 2 * heads > len(a):
-        return _column_args(a)
-    spec, args = _column_args(a[new])
-    text = (((spec + "\n") * heads) % _interleave(args)).split("\n")
-    return "%s", [np.array(text, dtype=object)[np.cumsum(new) - 1].tolist()]
+def _slots(c) -> np.ndarray:
+    """One block of a column as its slots: per row, its text, NUL-padded."""
+    if isinstance(c, _Coded):
+        return c.table.take(c.codes, axis=0)
+    if isinstance(c, list):  # strings, as they are
+        return np.array([v.encode() for v in c], dtype="S").view(np.uint8).reshape(len(c), -1)
+    if c.ndim == 2:  # rows formatted already: the lead that two files share
+        return c
+    if c.dtype == bool:
+        return (c.view(np.uint8) + np.uint8(48))[:, None]
+    return float_slots(c)
 
 
-def _blocks(columns: list) -> Iterator[str]:
-    """The rows of parallel columns as text, each row ended by a newline, one
-    string per block of `_CHUNK_ROWS` rows: float arrays as the bytes of
-    ``"%.17g" % x``, bool arrays as 0/1, lists of strings as they are. A
-    float column's block that holds only zeros and values with
-    1e-4 <= |x| < 1e16, which print without an exponent, gets its digits
-    from an exact computation in numpy, Dekker's error-free product with a
-    power of ten (`floatfmt.decimal_digits`); any other block is formatted
-    by ``%.17g``. Each block is formatted by a single ``%``; an array column
-    whose block is at least half repeats formats each run once
-    (`_block_column`). `_write_csvs` may run it on each half of the rows in
-    its own process."""
+def _blocks(columns: list) -> Iterator[np.ndarray]:
+    """The rows of parallel columns as text, one uint8 array per block of
+    `_CHUNK_ROWS` rows: each row the slots of its columns side by side, each
+    followed by "," and the last by a newline. A slot is a value's text
+    followed by NUL bytes, which `_tables` drops. Float arrays print as
+    ``"%.17g" % x`` in slots of `floatfmt.SLOT` bytes (`floatfmt.float_slots`:
+    a template gather keyed by places, trailing zeros and sign, and
+    ``"%.17g" % v`` for each value that needs an exponent or is not finite),
+    bool arrays as 0/1, `_Coded` columns from their table, lists of strings
+    as they are and two-dimensional uint8 arrays as their rows. `_write_csvs`
+    may run it on each half of the rows in its own process."""
     n = len(columns[0])
     for lo in range(0, n, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n)
-        specs, args = [], []
-        for c in columns:
-            spec, c_args = (_block_column(c[lo:hi]) if isinstance(c, np.ndarray)
-                            else ("%s", [c[lo:hi]]))
-            specs.append(spec)
-            args += c_args
-        fmt = ",".join(specs) + "\n"
-        yield (fmt * (hi - lo)) % _interleave(args)
+        slots = [_slots(c[lo:lo + _CHUNK_ROWS]) for c in columns]
+        comma = np.full((len(slots[0]), 1), 44, dtype=np.uint8)
+        rows = np.concatenate([part for s in slots for part in (s, comma)], axis=1)
+        rows[:, -1] = 10
+        yield rows
 
 
-def _tables(lead: list, tables: list[list], lo: int, hi: int) -> Iterator[Iterator[str]]:
-    """The `_blocks` of rows [lo, hi) of each table, every row led by the
-    ``lead`` columns. When more than one table shares the lead, it is
-    formatted once, on the first table's turn, and passed on as one string
-    column."""
+def _tables(lead: list, tables: list[list], lo: int, hi: int) -> Iterator[Iterator[bytes]]:
+    """The text of rows [lo, hi) of each table, one bytes per `_blocks`
+    block, every row led by the ``lead`` columns. When more than one table
+    shares the lead, it is formatted once, on the first table's turn, and
+    passed on as the rows of one column."""
     lead = [c[lo:hi] for c in lead]
     if len(tables) > 1:
-        lead = ["".join(_blocks(lead)).split("\n")[:-1]]
+        lead = [np.concatenate(list(_blocks(lead)))[:, :-1]]
     for columns in tables:
-        yield _blocks(lead + [c[lo:hi] for c in columns])
+        # No text that reaches a file holds a NUL byte: only numbers, 0/1 and
+        # the fixed regime names do. So dropping every NUL of a block leaves
+        # exactly its text.
+        yield (rows[rows != 0].tobytes()
+               for rows in _blocks(lead + [c[lo:hi] for c in columns]))
 
 
 def _fork(stack: ExitStack, lead: list, tables: list[list], n: int):
@@ -199,8 +203,7 @@ def _fork(stack: ExitStack, lead: list, tables: list[list], n: int):
     no temporary file, pipe or process is to be had."""
     import tempfile  # here, so that a command that never splits does not load it
 
-    spills = [stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
-              for _ in tables]
+    spills = [stack.enter_context(tempfile.TemporaryFile()) for _ in tables]
     r, w = os.pipe()
     stack.callback(os.close, r)
     try:
@@ -229,11 +232,11 @@ def _fork(stack: ExitStack, lead: list, tables: list[list], n: int):
     os.close(w)
     stack.callback(os.waitpid, pid, 0)  # first on exit, while the pipe is open
 
-    def rows_from_child(i: int) -> Iterator[str]:
+    def rows_from_child(i: int) -> Iterator[bytes]:
         if os.read(r, 1) != b".":  # the pipe closed: the child has ended
             raise OSError(f"the process formatting rows {n // 2} to {n - 1} failed")
         spills[i].seek(0)  # the child's writes moved the offset both share
-        yield from iter(lambda: spills[i].read(1 << 16), "")
+        yield from iter(lambda: spills[i].read(1 << 16), b"")
 
     return rows_from_child
 
@@ -243,13 +246,14 @@ def _write_csvs(lead: list, files: list[tuple[Path, str, list]]) -> Iterator[Non
     columns) with the ``lead`` columns first in every row, and yield once
     each file is complete, so that the caller can report it before the next
     is written. Float arrays are written as ``%.17g``, bool arrays as 0/1,
-    lists of strings as they are (`_blocks`). From `_SPLIT_VALUES` values
+    `_Coded` columns from their table and lists of strings as they are
+    (`_blocks`). From `_SPLIT_VALUES` values
     in all (rows times array columns, the lead counted once), with `os.fork`
     and two CPUs, the command forks once: a child formats rows n//2 onwards
     of every file (`_fork`) while this process formats the first half, and
-    each file is its header, this process's half, then the child's. The
-    bytes do not depend on the split, since each value, run head or not, is
-    formatted by the same spec. The child is reaped on every exit path, also
+    each file is its header, this process's half, then the child's bytes as
+    they are. The bytes do not depend on the split, since each value's text
+    depends on that value alone. The child is reaped on every exit path, also
     when the caller stops early. A write that raises removes its file."""
     tables = [columns for _, _, columns in files]
     n = len((lead or tables[0])[0])
@@ -264,7 +268,7 @@ def _write_csvs(lead: list, files: list[tuple[Path, str, list]]) -> Iterator[Non
                 pass
         texts = _tables(lead, tables, 0, n if child is None else n // 2)
         for i, ((path, header, _), text) in enumerate(zip(files, texts)):
-            _write(path, chain([header + "\n"], text, child(i) if child else ()))
+            _write(path, chain([f"{header}\n".encode()], text, child(i) if child else ()))
             yield
 
 
@@ -389,8 +393,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
 
     header = "t,eta_a,eta_b,regime,f"
-    columns = [[r._value_ for r in series.regimes],  # `.value` is a slow Enum property
-               flow_array(series.eta_a, series.eta_b)]
+    # `.value` is a slow Enum property
+    codes = np.array([_REGIME_CODES[r._value_] for r in series.regimes], dtype=np.intp)
+    columns = [_Coded(_REGIME_NAMES, codes), flow_array(series.eta_a, series.eta_b)]
     if series.m_a is not None:
         header += ",m_a,m_b"
         columns += [series.m_a, series.m_b]
@@ -409,7 +414,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 print(f"event t={_fmt(e.t)}: {e}")
             if args.plot:
                 path = script
-                _write(script, (f"{line}\n" for line in
+                _write(script, (f"{line}\n".encode() for line in
                                 _timeseries_plot_script(out.name, series.m_a is not None)))
                 print(f"wrote plot script {script}")
             if args.mode == "both":
@@ -486,12 +491,12 @@ def cmd_region(args: argparse.Namespace) -> int:
     interval = feasible_k_interval(two)
 
     total = scan.k.size
-    # Row-major with sigma1 fastest: each axis node is formatted once, then
-    # sigma1 is tiled across the rows and each eta_a1 repeated along its row.
-    sigma1 = [_fmt(s) for s in scan.sigma1.tolist()]
-    eta_a1 = [_fmt(e) for e in scan.eta_a1.tolist()]
-    columns = [sigma1 * len(eta_a1),
-               list(chain.from_iterable(repeat(e, len(sigma1)) for e in eta_a1))]
+    # Row-major with sigma1 fastest: each axis node is formatted once, and
+    # row i prints sigma1 node i % n and eta_a1 node i // n.
+    n = len(scan.sigma1)
+    nodes = np.arange(total, dtype=np.intp)
+    columns = [_Coded(float_slots(scan.sigma1), nodes % n),
+               _Coded(float_slots(scan.eta_a1), nodes // n)]
     columns += [a.ravel() for a in (scan.k, scan.dm_a, scan.dm_b, scan.p_a2, scan.p_b1,
                                     scan.feasible)]
     header = "sigma1,eta_a1,k,dm_a,dm_b,p_a2,p_b1,feasible"
@@ -502,7 +507,7 @@ def cmd_region(args: argparse.Namespace) -> int:
             print(f"wrote {total} nodes to {out}")
             if args.plot:
                 path = script
-                _write(script, (f"{line}\n" for line in [
+                _write(script, (f"{line}\n".encode() for line in [
                     "set datafile separator ','",
                     "set xlabel 'sigma1'",
                     "set ylabel 'eta_a1'",

@@ -19,7 +19,6 @@ from tradeflow.analytic import PiecewiseTrajectory, simulate_analytic
 from tradeflow.cli import EXIT_DEPLETION, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from tradeflow.core import GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
 from tradeflow.exchange import MAX_SEGMENTS, exchange_flow
-from tradeflow.floatfmt import float_args
 from tradeflow.integrator import integrate_with_events
 from tradeflow.region import KInterval
 from tradeflow.scenario import parse_scenario
@@ -293,16 +292,14 @@ def test_write_csv_matches_per_value_rendering(tmp_path, n):
 
 def test_write_csv_with_runs_matches_per_value_rendering(tmp_path):
     # four blocks, the last of one row: in `paired` the first block is
-    # exactly half repeats (run heads only), the second one repeat short of
-    # it (every value), and a run of 1/3 crosses into the last block
+    # exactly half repeats, the second one repeat short of it, and a run of
+    # 1/3 crosses into the last block
     size = cli._CHUNK_ROWS
     n = 3 * size + 1
     paired = np.concatenate([np.repeat(np.arange(size // 2) / 7, 2),
                              np.repeat(np.arange(size // 2) / 11 + 1.0, 2),
                              np.full(size + 1, 1 / 3)])
     paired[2 * size - 1] = -5.0
-    assert cli._block_column(paired[:size])[0] == "%s"
-    assert cli._block_column(paired[size:2 * size])[0] == "%s%d"
     zeros = np.zeros(n)
     zeros[::97] = -0.0  # -0.0 prints apart from the 0.0 runs around it
     zeros[500:510] = -0.0
@@ -318,6 +315,21 @@ def test_write_csv_with_runs_matches_per_value_rendering(tmp_path):
     expected = _per_value_csv("a,b,c,d,e,f", [c.tolist() if isinstance(c, np.ndarray) else c
                                               for c in columns])
     assert path.read_bytes() == expected.encode()
+
+
+def test_write_csv_of_coded_and_bool_columns_matches_per_value_rendering(tmp_path):
+    # regime names from their byte table, as `simulate` writes them, and 0/1
+    n = cli._CHUNK_ROWS + 5
+    rng = np.random.default_rng(25)
+    codes = rng.integers(0, len(Regime), n)
+    flags = rng.random(n) < 0.5
+    floats = rng.standard_normal(n)
+    columns = [cli._Coded(cli._REGIME_NAMES, codes), flags, floats, ~flags]
+    path = tmp_path / "out.csv"
+    _write_csv(path, "a,b,c,d", columns)
+    names = [list(Regime)[c].value for c in codes.tolist()]
+    assert path.read_bytes() == _per_value_csv(
+        "a,b,c,d", [names, flags.tolist(), floats.tolist(), (~flags).tolist()]).encode()
 
 
 FORKS = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -403,7 +415,7 @@ def _near_powers_of_ten():
 @functools.cache
 def _float_cases():
     """About 1.1M seeded float64 values in blocks of at most `_CHUNK_ROWS`,
-    each block one kind of probe of the exact digits of `float_args`."""
+    each block one kind of probe of the exact digits of `float_slots`."""
     rng = np.random.default_rng(22)
     size = cli._CHUNK_ROWS
     blocks = []
@@ -426,17 +438,60 @@ def _float_cases():
     inside, outside = _near_powers_of_ten()
     blocks += [inside, outside,
                np.concatenate([inside, rng.uniform(1.0, 2.0, size - len(inside))])]
+    # each value that takes the %.17g path, both zeros and the widest text
+    # at the first, a middle and the last row of a block of the digit path
+    for other in [5e-324, -1e-5, 1e16, 9999999999999998.0, -9.9e300, -0.0, 0.0,
+                  -2.2250738585072014e-308]:
+        b = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-4.0, 16.0, size)
+        b[[0, size // 2, -1]] = other
+        blocks.append(b)
     return blocks
 
 
-def test_float_blocks_match_percent_17g_one_block_at_a_time():
+def _exact(x):
+    """Which values of ``x`` belong on the digit path: zeros and
+    1e-4 <= |x| < 1e16."""
+    a = np.abs(x)
+    return (a == 0) | ((a >= 1e-4) & (a < 1e16))
+
+
+def _sent_to_percent(monkeypatch):
+    """A list that collects each array of values that `floatfmt.float_slots`
+    sends to ``%.17g`` (`floatfmt._percent_slots`) from now on."""
+    sent = []
+    percent_slots = floatfmt._percent_slots
+
+    def watched(x):
+        sent.append(x)
+        return percent_slots(x)
+
+    monkeypatch.setattr(floatfmt, "_percent_slots", watched)
+    return sent
+
+
+def _text(columns):
+    """The bytes of the rows of ``columns`` as `_write_csvs` writes them in
+    one process."""
+    return b"".join(next(cli._tables([], [columns], 0, len(columns[0]))))
+
+
+def test_float_blocks_match_percent_17g_one_block_at_a_time(monkeypatch):
+    sent = _sent_to_percent(monkeypatch)
     blocks = _float_cases()
     assert sum(map(len, blocks)) >= 1_000_000
-    exact = 0
+    exact = mixed = 0
     for b in blocks:
-        assert "".join(cli._blocks([b])) == "".join(["%.17g\n" % v for v in b.tolist()])
-        exact += float_args(b)[0] != "%.17g"
-    assert 0 < exact < len(blocks)  # both paths are taken
+        sent.clear()
+        assert _text([b]) == "".join(["%.17g\n" % v for v in b.tolist()]).encode()
+        # %.17g formats exactly the values off the digit path, bit for bit
+        off = b[~_exact(b)]
+        assert np.concatenate([off[:0], *sent]).view(np.int64).tolist() == \
+            off.view(np.int64).tolist()
+        on = np.count_nonzero(_exact(b))
+        exact += on
+        mixed += 0 < on < len(b)
+    assert 0 < exact < sum(map(len, blocks))  # both paths are taken
+    assert mixed  # within one block too
 
 
 def test_each_exponent_bound_is_the_least_double_at_or_above_its_power_of_ten():
@@ -501,7 +556,7 @@ values = np.concatenate([values, powers, np.nextafter(powers, np.inf),
 AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 
-def test_float_bytes_do_not_depend_on_the_cpu_features():
+def test_float_bytes_do_not_depend_on_the_cpu_features(monkeypatch):
     # np.log10, whose floor guesses the exponent, is SIMD-dispatched; the
     # digits must not move with AVX-512 off
     from numpy._core._multiarray_umath import __cpu_features__
@@ -512,15 +567,19 @@ def test_float_bytes_do_not_depend_on_the_cpu_features():
     cases = {}
     exec(CPU_CASES, cases)
     values = cases["values"]
-    assert all(float_args(values[i:i + cli._CHUNK_ROWS])[0] == "%s%d"
-               for i in range(0, len(values), cli._CHUNK_ROWS))
-    here = hashlib.sha256("".join(cli._blocks([values])).encode()).hexdigest()
+    sent = _sent_to_percent(monkeypatch)
+    here = hashlib.sha256(_text([values])).hexdigest()
+    assert not sent  # every value took the digit path, here and in the subprocess
     code = CPU_CASES + (
         "import hashlib\n"
         "from numpy._core._multiarray_umath import __cpu_features__\n"
-        "from tradeflow import cli\n"
+        "from tradeflow import cli, floatfmt\n"
+        "def refuse(x):\n"
+        "    raise AssertionError(f'{len(x)} values sent to %.17g')\n"
+        "floatfmt._percent_slots = refuse\n"
         f"print(*(__cpu_features__.get(name, False) for name in {on!r}))\n"
-        "print(hashlib.sha256(''.join(cli._blocks([values])).encode()).hexdigest())\n")
+        "text = b''.join(next(cli._tables([], [[values]], 0, len(values))))\n"
+        "print(hashlib.sha256(text).hexdigest())\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
                NPY_DISABLE_CPU_FEATURES=",".join(AVX512_TARGETS))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -533,36 +592,27 @@ def test_float_bytes_do_not_depend_on_the_cpu_features():
 
 def _exact_share(monkeypatch, argv):
     """The share of the float values (rows times float columns, a lead that
-    two files share once) that a command formats on the exact digit path,
-    formatting in this one process."""
-    counts = {True: 0, False: 0}
-    block_column = cli._block_column
-    last = []
+    two files share once, each region axis node once) that a command formats
+    on the exact digit path, formatting in this one process: each value that
+    `floatfmt.float_slots` does not send to ``%.17g``."""
+    total = [0]
+    float_slots = cli.float_slots
 
-    def watched_args(x):
-        spec, args = float_args(x)
-        last.append(spec != "%.17g")
-        return spec, args
-
-    def watched_block(a):
-        last.clear()
-        written = block_column(a)
-        if last:  # a float block, formatted whole or by its run heads
-            counts[last[0]] += len(a)
-        return written
+    def watched(x):
+        total[0] += len(x)
+        return float_slots(x)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(cli, "float_args", watched_args)
-    monkeypatch.setattr(cli, "_block_column", watched_block)
+    monkeypatch.setattr(cli, "float_slots", watched)
+    sent = _sent_to_percent(monkeypatch)
     assert main(argv) == EXIT_OK
-    return counts[True] / (counts[True] + counts[False])
+    return 1 - sum(map(len, sent)) / total[0]
 
 
 @pytest.mark.parametrize("argv, least", [
     (["region", "fig2.scenario"], 1.0),
-    # the rest is the discrepancy column and the `f` block where the flow
-    # rises from 0, both under 1e-4
-    (["simulate", "crossing.scenario", "--both"], 0.8),
+    # the rest is the discrepancy column, under 1e-4 but for its zeros
+    (["simulate", "crossing.scenario", "--both"], 0.85),
 ], ids=["region-fig2", "simulate-crossing-both"])
 def test_exact_digits_format_the_bundled_runs(tmp_path, monkeypatch, argv, least):
     # a fallback to %.17g keeps the bytes but not the speed
@@ -864,21 +914,9 @@ step = 0.01
 """
 
 
-def test_analytic_money_file_matches_per_value_rendering(tmp_path, monkeypatch):
+def test_analytic_money_file_matches_per_value_rendering(tmp_path):
     # off the export fixed point (1.5, eta_b) the stocks settle to constants
-    # long before the horizon, so the tail blocks of eta_a, eta_b and f are runs.
-    # On a host with two CPUs a forked child formats rows n//2 onwards of the
-    # 10k rows, and its calls stay in the child: `fired` then holds the blocks
-    # of rows [0, n//2) only, where the stocks have settled already.
-    fired = []  # per array-column block: were only the run heads formatted?
-    block_column = cli._block_column
-
-    def watched(a):
-        written = block_column(a)
-        fired.append(written[0] == "%s")
-        return written
-
-    monkeypatch.setattr(cli, "_block_column", watched)
+    # long before the horizon, so the tail blocks of eta_a, eta_b and f are runs
     path = tmp_path / "run.scenario"
     path.write_text(ANALYTIC_MONEY)
     sc = parse_scenario(path)
@@ -894,7 +932,6 @@ def test_analytic_money_file_matches_per_value_rendering(tmp_path, monkeypatch):
         [series.times.tolist(), series.eta_a.tolist(), series.eta_b.tolist(),
          [r.value for r in series.regimes], flow, series.m_a.tolist(), series.m_b.tolist()])
     assert out.read_bytes() == expected.encode()
-    assert any(fired) and not all(fired)
 
 
 def test_compare_file_matches_per_value_rendering(tmp_path):
