@@ -149,8 +149,6 @@ def _slots(c) -> np.ndarray:
     """One block of a column as its slots: per row, its text, NUL-padded."""
     if isinstance(c, _Coded):
         return c.table.take(c.codes, axis=0)
-    if isinstance(c, list):  # strings, as they are
-        return np.array([v.encode() for v in c], dtype="S").view(np.uint8).reshape(len(c), -1)
     if c.ndim == 2:  # rows formatted already: the lead that two files share
         return c
     if c.dtype == bool:
@@ -164,11 +162,11 @@ def _blocks(columns: list) -> Iterator[np.ndarray]:
     followed by "," and the last by a newline. A slot is a value's text
     followed by NUL bytes, which `_tables` drops. Float arrays print as
     ``"%.17g" % x`` in slots of `floatfmt.SLOT` bytes (`floatfmt.float_slots`:
-    a template gather keyed by places, trailing zeros and sign, and
-    ``"%.17g" % v`` for each value that needs an exponent or is not finite),
-    bool arrays as 0/1, `_Coded` columns from their table, lists of strings
-    as they are and two-dimensional uint8 arrays as their rows. `_write_csvs`
-    may run it on each half of the rows in its own process."""
+    exact digits for every finite value, a template gather keyed by form,
+    trailing zeros and sign, and ``"%.17g" % v`` for each value whose digits
+    are not certified), bool arrays as 0/1, `_Coded` columns from their table
+    and two-dimensional uint8 arrays as their rows. `_write_csvs` may run it
+    on each half of the rows in its own process."""
     n = len(columns[0])
     for lo in range(0, n, _CHUNK_ROWS):
         slots = [_slots(c[lo:lo + _CHUNK_ROWS]) for c in columns]
@@ -245,16 +243,16 @@ def _write_csvs(lead: list, files: list[tuple[Path, str, list]]) -> Iterator[Non
     """Write the CSV files of one command in turn, each (path, header,
     columns) with the ``lead`` columns first in every row, and yield once
     each file is complete, so that the caller can report it before the next
-    is written. Float arrays are written as ``%.17g``, bool arrays as 0/1,
-    `_Coded` columns from their table and lists of strings as they are
-    (`_blocks`). From `_SPLIT_VALUES` values
-    in all (rows times array columns, the lead counted once), with `os.fork`
-    and two CPUs, the command forks once: a child formats rows n//2 onwards
-    of every file (`_fork`) while this process formats the first half, and
-    each file is its header, this process's half, then the child's bytes as
-    they are. The bytes do not depend on the split, since each value's text
-    depends on that value alone. The child is reaped on every exit path, also
-    when the caller stops early. A write that raises removes its file."""
+    is written. Float arrays are written as ``%.17g``, bool arrays as 0/1
+    and `_Coded` columns from their table (`_blocks`). From `_SPLIT_VALUES`
+    values in all (rows times array columns, the lead counted once), with
+    `os.fork` and two CPUs, the command forks once: a child formats rows
+    n//2 onwards of every file (`_fork`) while this process formats the
+    first half, and each file is its header, this process's half, then the
+    child's bytes as they are. The bytes do not depend on the split, since
+    each value's text depends on that value alone. The child is reaped on
+    every exit path, also when the caller stops early. A write that raises
+    removes its file."""
     tables = [columns for _, _, columns in files]
     n = len((lead or tables[0])[0])
     values = n * sum(isinstance(c, np.ndarray) for c in chain(lead, *tables))

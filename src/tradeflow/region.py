@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -114,18 +113,6 @@ class RegionScan:
     p_a2: np.ndarray
     p_b1: np.ndarray
     feasible: np.ndarray
-
-    def rows(
-        self,
-    ) -> Iterator[tuple[float, float, float, float, float, float, float, bool]]:
-        """Flat (sigma1, eta_a1, k, dm_a, dm_b, p_a2, p_b1, feasible) tuples of
-        Python scalars in row-major eta order."""
-        sig = self.sigma1.tolist()
-        columns = (self.k, self.dm_a, self.dm_b, self.p_a2, self.p_b1, self.feasible)
-        # One eta row at a time: converting whole columns up front raises the
-        # peak memory of a 40k-node scan.
-        for i, eta in enumerate(self.eta_a1.tolist()):
-            yield from zip(sig, repeat(eta), *(a[i].tolist() for a in columns))
 
     def feasible_mask(self) -> np.ndarray:
         return self.feasible

@@ -148,7 +148,10 @@ def test_criterion_5_reference_region_reproduction():
     alpha1, alpha2 = y1 - two.prices1.x_a, y2 - two.prices2.x_a
     beta1, beta2 = y1 - two.prices1.x_b, y2 - two.prices2.x_b
     margin_to_boundary = math.inf
-    for sig, eta, k, *_, feasible in scan.rows():
+    nodes = zip(np.tile(scan.sigma1, len(scan.eta_a1)).tolist(),
+                np.repeat(scan.eta_a1, len(scan.sigma1)).tolist(),
+                scan.k.ravel().tolist(), scan.feasible.ravel().tolist())
+    for sig, eta, k, feasible in nodes:
         # independent oracle: keep sigma2 explicit and evaluate the original
         # conditions from the fixed-point productions
         sigma2 = balanced_sigma2(sig, eta, two.eta_b2, y1, y2)

@@ -271,6 +271,19 @@ def _per_value_csv(header, columns):
     return "\n".join([header, *rows]) + "\n"
 
 
+def _regimes(codes):
+    """A column of regime names as `simulate` writes it: coded, through
+    their byte table."""
+    return cli._Coded(cli._REGIME_NAMES, np.asarray(codes))
+
+
+def _plain(column):
+    """A writer column as the Python values `_per_value_csv` renders."""
+    if isinstance(column, cli._Coded):
+        return [list(Regime)[c].value for c in column.codes.tolist()]
+    return column.tolist()
+
+
 AWKWARD = [-0.0, 0.0, 5e-324, 1e308, -1e308, 0.1, 1 / 3, 2.0, -7.0, 1e16, 2.5e-8]
 
 
@@ -280,13 +293,11 @@ def test_write_csv_matches_per_value_rendering(tmp_path, n):
     floats = np.array([AWKWARD[i % len(AWKWARD)] for i in range(n)])
     randoms = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     flags = rng.random(n) < 0.5
-    regimes = [list(Regime)[i % len(Regime)].value for i in range(n)]
+    regimes = _regimes(np.arange(n) % len(Regime))
     columns = [floats, regimes, randoms, flags, floats[::-1].copy()]
     path = tmp_path / "out.csv"
     _write_csv(path, "a,b,c,d,e", columns)
-    expected = _per_value_csv(
-        "a,b,c,d,e", [floats.tolist(), regimes, randoms.tolist(), flags.tolist(),
-                      floats[::-1].tolist()])
+    expected = _per_value_csv("a,b,c,d,e", [_plain(c) for c in columns])
     assert path.read_bytes() == expected.encode()
 
 
@@ -308,12 +319,11 @@ def test_write_csv_with_runs_matches_per_value_rendering(tmp_path):
     reference[:, 0] = np.resize(np.repeat(AWKWARD, 300), n)
     reference[:, 1] = np.random.default_rng(3).standard_normal(n)
     flags = (np.arange(n) // 700) % 2 == 0
-    regimes = [list(Regime)[i // 1000 % len(Regime)].value for i in range(n)]
+    regimes = _regimes(np.arange(n) // 1000 % len(Regime))
     columns = [paired, zeros, reference[:, 0], regimes, flags, reference[:, 1]]
     path = tmp_path / "out.csv"
     _write_csv(path, "a,b,c,d,e,f", columns)
-    expected = _per_value_csv("a,b,c,d,e,f", [c.tolist() if isinstance(c, np.ndarray) else c
-                                              for c in columns])
+    expected = _per_value_csv("a,b,c,d,e,f", [_plain(c) for c in columns])
     assert path.read_bytes() == expected.encode()
 
 
@@ -361,8 +371,7 @@ def _split_columns(n):
     runs[half + 40:half + 90] = 5e-324
     randoms = np.random.default_rng(n).standard_normal(n)
     flags = (np.arange(n) // 300) % 2 == 0
-    regimes = [list(Regime)[i // 500 % len(Regime)].value for i in range(n)]
-    return [runs, regimes, randoms, flags]
+    return [runs, _regimes(np.arange(n) // 500 % len(Regime)), randoms, flags]
 
 
 #: The fewest rows of `_split_columns` that `_write_csvs` splits (16384).
@@ -375,8 +384,7 @@ def test_split_writer_matches_per_value_rendering(tmp_path, forks, n):
     # two files that share the lead column `runs`, counted once: three
     # array columns in all, so they split from SPLIT_ROWS on, in one fork
     columns = _split_columns(n)
-    expected = _per_value_csv("a,b,c,d", [c.tolist() if isinstance(c, np.ndarray) else c
-                                          for c in columns])
+    expected = _per_value_csv("a,b,c,d", [_plain(c) for c in columns])
     path, lead_path = tmp_path / "out.csv", tmp_path / "lead.csv"
     for _ in cli._write_csvs(columns[:1], [(path, "a,b,c,d", columns[1:]),
                                            (lead_path, "a,b", columns[1:2])]):
@@ -400,16 +408,44 @@ def _halfway_cases(rng, size):
 
 
 def _near_powers_of_ten():
-    # 10**k and two doubles on each side of it, with 17-digit literals
-    # just below a power of ten, as (inside, outside) [1e-4, 1e16)
+    # the double nearest 10**k for k = -323 to 308 and two doubles on each
+    # side of it, with 17-digit literals just below a power of ten; the
+    # smallest are 5e-324 and zero
     values = [0.99999999999999994, 9.9999999999999995e-05, 9.9999999999999995e-06]
-    for k in range(-4, 17):
+    for k in range(-323, 309):
         p = float(f"1e{k}")
         down, up = np.nextafter(p, 0.0), np.nextafter(p, np.inf)
         values += [p, down, np.nextafter(down, 0.0), up, np.nextafter(up, np.inf)]
-    values = np.array(values + [-v for v in values])
-    inside = (np.abs(values) >= 1e-4) & (np.abs(values) < 1e16)
-    return values[inside], values[~inside]
+    return np.array(values + [-v for v in values])
+
+
+#: Each value a with a*10**(16-E) a half-integer where 10**(16-E) is no
+#: double (E the exponent of a): m * 2**-24 (E = -7) and m * 2**-25 (E = -8).
+TIES = [m * 2.0**-24 for m in range(3, 16, 2)] + [2.0**-25, 3 * 2.0**-25]
+
+
+def _exponent_cases(rng, size):
+    # values that print with an exponent, from integer mantissas and
+    # exponents (never np.power): subnormals, the smallest of them, the
+    # normal range log-uniform, the 17-digit integers of [1e16, 1e17),
+    # differences m * 2**-53 and m * 2**-60 as a discrepancy column holds,
+    # and the ends of the range with their neighbours
+    def signed(values):
+        return values * rng.choice([-1.0, 1.0], size)
+
+    def mantissa(lo, hi):
+        return rng.integers(lo, hi, size).astype(float)
+
+    ends = [5e-324, 1e-323, 2.2250738585072014e-308, 1.7976931348623157e308]
+    ends = np.array(ends + [np.nextafter(v, np.inf) for v in ends[:3]] +
+                    [np.nextafter(v, 0.0) for v in ends[1:]])
+    return [signed(np.ldexp(mantissa(1, 1 << 52), -1074)),
+            signed(np.ldexp(mantissa(1, 1 << 12), -1074)),
+            signed(np.ldexp(mantissa(1 << 52, 1 << 53), rng.integers(-1074, 972, size))),
+            signed(mantissa(10**16, 10**17)),
+            signed(np.ldexp(mantissa(1, 1 << 20), -53)),
+            signed(np.ldexp(mantissa(1, 1 << 30), -60)),
+            np.concatenate([ends, -ends])]
 
 
 @functools.cache
@@ -421,7 +457,7 @@ def _float_cases():
     blocks = []
     for _ in range(380):
         # log-uniform over a random part of 1e-6 to 1e18, both signs: some
-        # blocks lie in [1e-4, 1e16), the others take the %.17g path
+        # blocks print without an exponent, some with one, and some mix both
         lo, hi = np.sort(rng.uniform(-6.0, 18.0, 2))
         blocks.append(rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(lo, hi, size))
     for _ in range(20):  # zeros of both signs among values that print no exponent
@@ -435,24 +471,29 @@ def _float_cases():
         blocks += [np.nextafter(whole + 0.5, -np.inf), np.nextafter(whole + 0.5, np.inf)]
     for _ in range(10):
         blocks += _halfway_cases(rng, size)
-    inside, outside = _near_powers_of_ten()
-    blocks += [inside, outside,
-               np.concatenate([inside, rng.uniform(1.0, 2.0, size - len(inside))])]
-    # each value that takes the %.17g path, both zeros and the widest text
-    # at the first, a middle and the last row of a block of the digit path
-    for other in [5e-324, -1e-5, 1e16, 9999999999999998.0, -9.9e300, -0.0, 0.0,
-                  -2.2250738585072014e-308]:
+    near = _near_powers_of_ten()
+    blocks += [near[i:i + size] for i in range(0, len(near), size)]
+    for _ in range(20):
+        blocks += _exponent_cases(rng, size)
+    # values at the ends of each form, both zeros, the widest text and the
+    # exact ties (the only values that take the %.17g path), each at the
+    # first, a middle and the last row of a block printed without an exponent
+    for other in [5e-324, -1e-5, 1e16, 1e17, 9999999999999998.0, -9.9e300, -0.0, 0.0,
+                  -2.2250738585072014e-308] + TIES + [-v for v in TIES]:
         b = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-4.0, 16.0, size)
         b[[0, size // 2, -1]] = other
         blocks.append(b)
     return blocks
 
 
-def _exact(x):
-    """Which values of ``x`` belong on the digit path: zeros and
-    1e-4 <= |x| < 1e16."""
+def _unsure(x):
+    """Which values of ``x`` `float_slots` sends to ``%.17g``: the nonzero
+    ones whose digits `decimal_digits` does not certify."""
     a = np.abs(x)
-    return (a == 0) | ((a >= 1e-4) & (a < 1e16))
+    unsure = np.zeros(len(x), dtype=bool)
+    nonzero = np.flatnonzero(a)
+    unsure[nonzero] = floatfmt.decimal_digits(a[nonzero])[2]
+    return unsure
 
 
 def _sent_to_percent(monkeypatch):
@@ -479,26 +520,71 @@ def test_float_blocks_match_percent_17g_one_block_at_a_time(monkeypatch):
     sent = _sent_to_percent(monkeypatch)
     blocks = _float_cases()
     assert sum(map(len, blocks)) >= 1_000_000
-    exact = mixed = 0
+    unsure, mixed = [], 0
     for b in blocks:
         sent.clear()
         assert _text([b]) == "".join(["%.17g\n" % v for v in b.tolist()]).encode()
-        # %.17g formats exactly the values off the digit path, bit for bit
-        off = b[~_exact(b)]
+        # %.17g formats exactly the values whose digits are not certified,
+        # bit for bit
+        off = b[_unsure(b)]
         assert np.concatenate([off[:0], *sent]).view(np.int64).tolist() == \
             off.view(np.int64).tolist()
-        on = np.count_nonzero(_exact(b))
-        exact += on
-        mixed += 0 < on < len(b)
-    assert 0 < exact < sum(map(len, blocks))  # both paths are taken
-    assert mixed  # within one block too
+        unsure += off.tolist()
+        mixed += 0 < len(off) < len(b)
+    # only the exact ties, three times each: the digit path takes every
+    # other value, within one block too
+    assert sorted(unsure) == sorted(3 * (TIES + [-v for v in TIES]))
+    assert mixed
+
+
+def test_uncertified_digits_take_percent_17g(monkeypatch):
+    # a margin of 1 certifies no digits where 10**(16-E) is no double, that
+    # is off 10**-6 <= |x| < 10**17 (the double 1e-6 lies below 10**-6); they
+    # all take %.17g, with the same bytes
+    monkeypatch.setattr(floatfmt, "_MARGIN", 1.0)
+    sent = _sent_to_percent(monkeypatch)
+    total = 0
+    for b in _float_cases()[::4]:
+        sent.clear()
+        assert _text([b]) == "".join(["%.17g\n" % v for v in b.tolist()]).encode()
+        a = np.abs(b)
+        off = b[(a != 0) & ((a < np.nextafter(1e-6, 1.0)) | (a >= 1e17))]
+        assert np.concatenate([off[:0], *sent]).view(np.int64).tolist() == \
+            off.view(np.int64).tolist()
+        total += len(off)
+    assert total >= 50_000
 
 
 def test_each_exponent_bound_is_the_least_double_at_or_above_its_power_of_ten():
     # so a >= bound exactly when a >= its power of ten, and `decimal_digits`
     # settles each exponent with two comparisons
-    for k, bound in enumerate(floatfmt._TEN_TO.tolist()):
-        assert Decimal(math.nextafter(bound, 0.0)) < Decimal(10) ** (17 - k) <= Decimal(bound)
+    up = floatfmt._tables()[0].tolist()
+    for e, bound in zip(range(floatfmt._E_MIN, floatfmt._E_MAX + 1), up):
+        power = Decimal(10) ** e
+        if e > 308:
+            assert bound == math.inf
+        else:
+            assert Decimal(math.nextafter(bound, 0.0)) < power <= Decimal(bound)
+    assert up[0] == 5e-324  # the least double, at or above 10**-325
+
+
+def test_each_power_of_ten_is_exact_as_a_double_double():
+    # the table that `decimal_digits` multiplies by, against exact fractions
+    from fractions import Fraction
+
+    _, scale, hi, hi_hi, hi_lo, lo = floatfmt._tables()
+    for i, e in enumerate(range(floatfmt._E_MIN, floatfmt._E_MAX + 1)):
+        num, den = scale[i].as_integer_ratio()
+        assert num & (num - 1) == 0 and den & (den - 1) == 0  # a power of two
+        power = Fraction(10) ** (16 - e) / Fraction(scale[i])
+        assert hi[i] == float(power)  # correctly rounded
+        assert lo[i] == float(power - Fraction(hi[i]))
+        assert Fraction(hi_hi[i]) + Fraction(hi_lo[i]) == Fraction(hi[i])
+        for half in (hi_hi[i], hi_lo[i]):
+            n = abs(half.as_integer_ratio()[0])
+            assert n == 0 or (n // (n & -n)).bit_length() <= 26
+        # lo vanishes exactly where 10**(16-E) is a double
+        assert (lo[i] == 0) == (-6 <= e <= 16)
 
 
 @pytest.mark.parametrize("shift", [-0.5, 0.5], ids=["low", "high"])
@@ -506,8 +592,9 @@ def test_a_log10_guess_off_by_one_is_settled(monkeypatch, shift):
     # log10 is SIMD-dispatched, so its floor may miss the exponent by one
     # about a power of ten, on either side
     rng = np.random.default_rng(23)
-    a = np.concatenate([np.abs(_near_powers_of_ten()[0]), 10.0 ** rng.uniform(-4, 16, 10**4)])
-    a = a[a < 1e16]
+    a = np.concatenate([np.abs(_near_powers_of_ten()), 10.0 ** rng.uniform(-4, 16, 10**4),
+                        np.abs(np.concatenate(_exponent_cases(rng, 10**4)))])
+    a = a[a > 0]
     expected = floatfmt.decimal_digits(a)
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda x: log10(x) + shift)
@@ -516,11 +603,13 @@ def test_a_log10_guess_off_by_one_is_settled(monkeypatch, shift):
 
 
 def test_the_double_below_each_power_of_ten_prints_short_of_it():
-    # so no value in [1e-4, 1e16) rounds up to the next power of ten at 17
-    # digits, and `decimal_digits` has no carry to make
+    # so no value printed without an exponent below 1e16 rounds up to the
+    # next power of ten at 17 digits; with an exponent some do, and
+    # `decimal_digits` carries them to the next exponent
     for k in range(-4, 17):
         text = "%.17g" % math.nextafter(float(f"1e{k}"), 0.0)
         assert Decimal(text).normalize().as_tuple().digits != (1,), text
+    assert Decimal(1e-14) < Decimal("1e-14") and "%.17g" % 1e-14 == "1e-14"
 
 
 @needs_fork
@@ -540,15 +629,18 @@ def test_split_writer_matches_percent_17g_on_a_million_values(tmp_path, forks):
 
 #: Seeded float64 values built from integer mantissas and exponents, never
 #: by np.power, whose result itself differs by CPU: |x| in [2**-13, 2**53),
-#: inside [1e-4, 1e16), and each side of the powers of ten there.
+#: printed without an exponent, the whole normal range, subnormals, and
+#: each power of ten from 1e-323 to 1e308 with its neighbours.
 CPU_CASES = """
 import numpy as np
 rng = np.random.default_rng(12)
 mantissa = rng.integers(1 << 52, 1 << 53, 1 << 18).astype(float)
 values = np.ldexp(mantissa, rng.integers(-65, 1, 1 << 18)) * rng.choice([-1.0, 1.0], 1 << 18)
-powers = np.array([float(f"1e{k}") for k in range(-4, 16)])
-values = np.concatenate([values, powers, np.nextafter(powers, np.inf),
-                         np.nextafter(powers[1:], 0.0)])
+wide = np.ldexp(mantissa[:1 << 16], rng.integers(-1074, 972, 1 << 16))
+tiny = np.ldexp(rng.integers(1, 1 << 52, 1 << 12).astype(float), -1074)
+powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+values = np.concatenate([values, wide, -tiny, powers, np.nextafter(powers, np.inf),
+                         np.nextafter(powers, 0.0)])
 """
 
 
@@ -611,8 +703,8 @@ def _exact_share(monkeypatch, argv):
 
 @pytest.mark.parametrize("argv, least", [
     (["region", "fig2.scenario"], 1.0),
-    # the rest is the discrepancy column, under 1e-4 but for its zeros
-    (["simulate", "crossing.scenario", "--both"], 0.85),
+    # the discrepancy column too, which prints with an exponent
+    (["simulate", "crossing.scenario", "--both"], 1.0),
 ], ids=["region-fig2", "simulate-crossing-both"])
 def test_exact_digits_format_the_bundled_runs(tmp_path, monkeypatch, argv, least):
     # a fallback to %.17g keeps the bytes but not the speed
@@ -649,8 +741,7 @@ def test_writer_formats_alone_without_a_second_process(tmp_path, monkeypatch, ho
     columns = _split_columns(SPLIT_ROWS)
     path = tmp_path / "out.csv"
     _write_csv(path, "a,b,c,d", columns)
-    assert path.read_bytes() == _per_value_csv(
-        "a,b,c,d", [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]).encode()
+    assert path.read_bytes() == _per_value_csv("a,b,c,d", [_plain(c) for c in columns]).encode()
     if fds:  # the temporary file and pipe of a refused fork are closed
         assert len(os.listdir("/proc/self/fd")) == len(fds)
 
@@ -668,6 +759,7 @@ def test_failed_child_exits_with_one_write_error(tmp_path, capsys, monkeypatch, 
         path.write_text(_region_text(0.5, 10.0, cli._SPLIT_VALUES, 1.5, 10.0, 2))
     else:
         path = SCENARIO_DIR / scenario
+    monkeypatch.setattr(cli, "_SPLIT_VALUES", 1)  # a split at any bound
     parent, blocks = os.getpid(), cli._blocks
 
     def child_fails(columns):
@@ -697,6 +789,7 @@ def test_comparison_file_that_fails_after_the_data_file(tmp_path, capsys, monkey
             raise MemoryError
         yield from blocks(columns)
 
+    monkeypatch.setattr(cli, "_SPLIT_VALUES", 1)  # a split at any bound
     scenario = str(SCENARIO_DIR / "crossing.scenario")
     whole = tmp_path / "whole.csv"
     assert main(["simulate", scenario, "--both", "--out", str(whole)]) == EXIT_OK
@@ -774,8 +867,7 @@ def test_fork_warning_of_newer_pythons_is_ignored(tmp_path, monkeypatch, forks):
     columns = _split_columns(SPLIT_ROWS)
     path = tmp_path / "out.csv"
     _write_csv(path, "a,b,c,d", columns)
-    assert path.read_bytes() == _per_value_csv(
-        "a,b,c,d", [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]).encode()
+    assert path.read_bytes() == _per_value_csv("a,b,c,d", [_plain(c) for c in columns]).encode()
     assert forks
 
 
@@ -979,11 +1071,15 @@ def test_region_file_matches_rows_rendered_per_value(tmp_path, text):
     path = tmp_path / "grid.scenario"
     path.write_text(text)
     sc = parse_scenario(path)
-    rows = list(cli.scan_region(sc.two_good(), sc.grid).rows())
+    scan = cli.scan_region(sc.two_good(), sc.grid)
     out = tmp_path / "region.csv"
     assert main(["region", str(path), "--out", str(out)]) == EXIT_OK
+    # row-major in eta_a1, sigma1 fastest
+    axes = [np.tile(scan.sigma1, len(scan.eta_a1)), np.repeat(scan.eta_a1, len(scan.sigma1))]
+    nodes = [a.ravel() for a in (scan.k, scan.dm_a, scan.dm_b, scan.p_a2, scan.p_b1,
+                                 scan.feasible)]
     expected = _per_value_csv("sigma1,eta_a1,k,dm_a,dm_b,p_a2,p_b1,feasible",
-                              [list(c) for c in zip(*rows)])
+                              [c.tolist() for c in axes + nodes])
     assert out.read_bytes() == expected.encode()
 
 
@@ -1045,10 +1141,13 @@ def test_region_mismatch_reports_the_last_node_in_row_major_order(tmp_path, caps
                                                                  monkeypatch):
     monkeypatch.setattr(cli, "feasible_k_interval", lambda s: KInterval(3.0, 6.0))
     sc = parse_scenario(SCENARIO_DIR / "fig2.scenario")
+    scan = cli.scan_region(sc.two_good(), sc.grid)
     last = None
-    for sig, eta, k, *_, feasible in cli.scan_region(sc.two_good(), sc.grid).rows():
-        if feasible != (3.0 <= k <= 6.0):
-            last = (sig, eta, k, feasible)
+    for i, eta in enumerate(scan.eta_a1.tolist()):  # row-major order
+        for sig, k, feasible in zip(scan.sigma1.tolist(), scan.k[i].tolist(),
+                                    scan.feasible[i].tolist()):
+            if feasible != (3.0 <= k <= 6.0):
+                last = (sig, eta, k, feasible)
     sig, eta, k, feasible = last
     assert main(["region", str(SCENARIO_DIR / "fig2.scenario"),
                  "--out", str(tmp_path / "r.csv")]) == EXIT_NUMERIC

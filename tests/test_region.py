@@ -80,18 +80,17 @@ def test_array_scan_equals_per_node_feasibility_check():
 def test_rows_are_row_major_in_eta():
     s = fig_scenario()
     scan = scan_region(s, GridSpec(1.0, 2.0, 2, 2.0, 3.0, 3))
-    rows = list(scan.rows())
-    assert len(rows) == 6
-    assert [r[1] for r in rows[:2]] == [2.0, 2.0]  # eta constant along a row
-    assert [r[0] for r in rows[:2]] == [1.0, 2.0]
-    assert rows[0][2] == 1.0 * (2.0 - 1.0)
+    assert scan.k.shape == (3, 2)  # a row per eta_a1 node, a column per sigma1 node
+    assert scan.eta_a1.tolist() == [2.0, 2.5, 3.0]  # one eta per row
+    assert scan.sigma1.tolist() == [1.0, 2.0]
+    assert scan.k[0].tolist() == [1.0 * (2.0 - 1.0), 2.0 * (2.0 - 1.0)]
 
 
 def test_scanner_agrees_with_the_closed_form_interval():
     s = fig_scenario()
     scan = scan_region(s, small_grid())
     interval = feasible_k_interval(s)
-    for sig, eta, k, *_, feasible in scan.rows():
+    for k, feasible in zip(scan.k.ravel().tolist(), scan.feasible.ravel().tolist()):
         assert feasible == interval.contains(k)
 
 
@@ -131,7 +130,7 @@ def test_zero_importer_consumption_forces_k_to_zero():
     s = TwoGoodScenario(good1, good2, PriceSet(1.0, 3.0, 2.0),
                         PriceSet(5.0, 2.0, 4.0), 2.0, 2.0)
     scan = scan_region(s, GridSpec(0.0, 2.0, 5, 1.0, 3.0, 5))
-    for sig, eta, k, *_, feasible in scan.rows():
+    for k, feasible in zip(scan.k.ravel().tolist(), scan.feasible.ravel().tolist()):
         if feasible:
             assert k == 0.0
 
