@@ -10,7 +10,6 @@ solved in sum/difference coordinates, which handles its zero eigenvalue exactly.
 
 from __future__ import annotations
 
-import bisect as _bisect_mod
 import math
 from dataclasses import dataclass
 
@@ -155,16 +154,6 @@ class RegimeSegment:
                 f"segment must span positive time, got [{self.t_start!r}, {self.t_end!r}]"
             )
 
-    def state_at(self, t: float) -> NormalizedState:
-        if not (self.t_start <= t <= self.t_end):
-            raise ValueError(f"t={t!r} outside segment [{self.t_start}, {self.t_end}]")
-        if t == self.t_start:
-            return self.state_start
-        if t == self.t_end:
-            return self.state_end
-        tau = t - self.t_start
-        return NormalizedState(self.form_a.value(tau), self.form_b.value(tau))
-
 
 @dataclass(frozen=True)
 class PiecewiseTrajectory:
@@ -177,6 +166,8 @@ class PiecewiseTrajectory:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("trajectory needs at least one segment")
+        if self.segments[0].t_start != 0.0:
+            raise ValueError(f"trajectory must start at t=0, got {self.segments[0].t_start!r}")
 
     @property
     def events(self) -> list[Event]:
@@ -187,32 +178,24 @@ class PiecewiseTrajectory:
                 for stock, above in _ABOVE
                 if (up := seg.regime in above) != (before.regime in above)]
 
-    def segment_at(self, t: float) -> RegimeSegment:
-        """The segment owning time t; boundaries belong to the later segment."""
-        if not (0.0 <= t <= self.horizon):
-            raise ValueError(f"t={t!r} outside [0, {self.horizon}]")
-        starts = [seg.t_start for seg in self.segments]
-        i = _bisect_mod.bisect_right(starts, t) - 1
-        return self.segments[max(i, 0)]
-
-    def regime_at(self, t: float) -> Regime:
-        return self.segment_at(t).regime
-
     def state_at(self, t: float) -> NormalizedState:
-        return self.segment_at(t).state_at(t)
+        # One-element `states_at`, kept as the name the benchmark's tracer wraps.
+        return NormalizedState(*self.states_at(np.array([t]))[0].tolist())
 
     def segment_indices(self, times: np.ndarray) -> np.ndarray:
-        """Index of the segment owning each time, by the rule of
-        :meth:`segment_at`: boundaries belong to the later segment."""
+        """Index of the segment owning each time in [0, horizon]: a boundary
+        belongs to the later segment."""
         starts = np.array([seg.t_start for seg in self.segments])
-        return np.maximum(np.searchsorted(starts, times, side="right") - 1, 0)
+        return np.searchsorted(starts, times, side="right") - 1
 
     def states_at(self, times: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; returns an (n, 2) array of (eta_a, eta_b).
+        """The stocks at each time, as an (n, 2) array of (eta_a, eta_b).
 
-        Each segment is evaluated on one contiguous slice of the (stably)
-        sorted times, bounded by the rule of :meth:`segment_at`: a time equal
-        to a segment start belongs to that later segment."""
+        A time equal to a segment's start gives that segment's stored start
+        state, bit for bit: the input at t = 0, and at an event the state the
+        next segment starts from. Any other time evaluates the form of the
+        segment that owns it, each segment on one contiguous slice of the
+        (stably) sorted times, by the rule of :meth:`segment_indices`."""
         times = np.asarray(times, dtype=float)
         if times.ndim != 1:
             raise ValueError("sample times must be a one-dimensional array")
@@ -222,15 +205,17 @@ class PiecewiseTrajectory:
             times = times[order]
         if times.size and not (times[0] >= 0.0 and times[-1] <= self.horizon):
             raise ValueError("sample times outside [0, horizon]")  # NaN included
-        bounds = np.searchsorted(times, [seg.t_start for seg in self.segments]).tolist()
-        bounds[0] = 0
+        starts = [seg.t_start for seg in self.segments]
+        bounds = np.searchsorted(times, starts).tolist()
         bounds.append(times.size)
+        past = np.searchsorted(times, starts, side="right").tolist()
         out = np.empty((times.size, 2))
-        for seg, lo, hi in zip(self.segments, bounds, bounds[1:]):
-            if lo < hi:
-                tau = times[lo:hi] - seg.t_start
-                out[lo:hi, 0] = seg.form_a.value_array(tau)
-                out[lo:hi, 1] = seg.form_b.value_array(tau)
+        for seg, lo, mid, hi in zip(self.segments, bounds, past, bounds[1:]):
+            out[lo:mid] = seg.state_start.eta_a, seg.state_start.eta_b
+            if mid < hi:
+                tau = times[mid:hi] - seg.t_start
+                out[mid:hi, 0] = seg.form_a.value_array(tau)
+                out[mid:hi, 1] = seg.form_b.value_array(tau)
         if order is not None:
             out[order] = out.copy()
         return out

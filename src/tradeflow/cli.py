@@ -50,9 +50,13 @@ _CHUNK_ROWS = 2048
 #: pairs from 24576 to 81920 values (median split/single time 1.04 to 1.33),
 #: in 10 and 11 of 16 at 98304 (0.97, 0.98) and in 13 to 15 of 16 from
 #: 131072 (0.78 to 0.92), with floats set by `float_slots`. The benchmark's
-#: ops disagree below that: `simulate --both` ops of 90k values ran 19% slower
-#: in one process, and `simulate --analytic` ops of 60k values 1.5% faster,
-#: inside their spread. So the bound stays at 49152. No CLI file has more
+#: gated `op_p50_ref` cannot settle it: the fork leaves page faults to the
+#: reference computation timed after the op, so `ref_ms` read 0.47-0.74
+#: after a split against 0.44-0.51 without one. On `sim-analytic-money`
+#: (60k values, seeds 1-4, 15 s each) one process read a raw `op_p50_ms` of
+#: 12.5-14.1 against 13.6-17.5 split, while `op_p50_ref` read 27.4-28.9
+#: against 25.2-28.5. So the bound stays at 49152 until the benchmark times
+#: its reference apart from the op's fork (ROADMAP item 1). No CLI file has more
 #: than 6 array columns, so a command that writes one file under 8192 rows
 #: never splits; `simulate --both` with prices writes 9 array columns in all,
 #: so it splits from 5462 rows.

@@ -1,3 +1,4 @@
+import bisect
 import math
 from decimal import Decimal, localcontext
 
@@ -219,37 +220,56 @@ def test_trajectory_is_continuous_and_conservative():
         assert np.abs(states.sum(axis=1) - expected).max() <= 1e-9
 
 
+def _row_at(traj, i, t):
+    """The stocks at t on segment i, one time at a time: the segment's stored
+    start state at its start, else its forms on a one-element array."""
+    seg = traj.segments[i]
+    if t == seg.t_start:
+        return [seg.state_start.eta_a, seg.state_start.eta_b]
+    tau = np.array([t - seg.t_start])
+    return [seg.form_a.value_array(tau)[0], seg.form_b.value_array(tau)[0]]
+
+
 def test_trajectory_point_and_array_eval_agree():
+    # ExpLinear.value (math.exp) against the rows (np.exp) on the segment that
+    # segment_indices picks; at a segment start both are its stored state
     econ = GoodEconomy(p_a=1.25, p_b=1.0, c_a=1.0, c_b=1.0, sigma=1.0)
     traj = simulate_analytic(NormalizedState(0.5, 0.5), econ, 10.0)
-    ts = np.linspace(0.0, 10.0, 41)
+    assert len(traj.segments) > 1
+    ts = np.concatenate([np.linspace(0.0, 10.0, 41), [seg.t_start for seg in traj.segments]])
     states = traj.states_at(ts)
-    for t, row in zip(ts, states):
-        point = traj.state_at(float(t))
-        assert abs(point.eta_a - row[0]) <= 1e-12
-        assert abs(point.eta_b - row[1]) <= 1e-12
+    for i, t, row in zip(traj.segment_indices(ts).tolist(), ts.tolist(), states.tolist()):
+        seg = traj.segments[i]
+        if t == seg.t_start:
+            assert row == [seg.state_start.eta_a, seg.state_start.eta_b]
+        else:
+            assert abs(seg.form_a.value(t - seg.t_start) - row[0]) <= 1e-12
+            assert abs(seg.form_b.value(t - seg.t_start) - row[1]) <= 1e-12
+    # state_at is a one-element states_at, at interior times and segment starts
+    assert [traj.state_at(t) for t in ts.tolist()] == [NormalizedState(*row)
+                                                       for row in states.tolist()]
 
 
-def test_states_at_uses_the_owner_rule_of_segment_at():
+def test_states_at_uses_the_owner_rule_of_segment_indices():
+    # segment_indices against the scalar rule (the last segment starting at
+    # or before t), and each row against one evaluation on that segment
     rng = np.random.default_rng(29)
     for _ in range(50):
         econ = _random_econ(rng)
         traj = simulate_analytic(NormalizedState(rng.uniform(0, 3), rng.uniform(0, 3)),
                                  econ, 10.0)
-        ts = np.concatenate([rng.uniform(0.0, 10.0, 64), [0.0, 10.0],
-                             [seg.t_start for seg in traj.segments]])
+        starts = [seg.t_start for seg in traj.segments]
+        ts = np.concatenate([rng.uniform(0.0, 10.0, 64), [0.0, 10.0], starts])
         rng.shuffle(ts)
-        owner = traj.segment_indices(ts)
-        assert [traj.segments[i] for i in owner] == [traj.segment_at(t) for t in ts.tolist()]
-        for i, t, row in zip(owner.tolist(), ts.tolist(), traj.states_at(ts).tolist()):
-            seg = traj.segments[i]
-            tau = np.array([t - seg.t_start])
-            assert row == [seg.form_a.value_array(tau)[0], seg.form_b.value_array(tau)[0]]
+        owner = traj.segment_indices(ts).tolist()
+        assert owner == [bisect.bisect_right(starts, t) - 1 for t in ts.tolist()]
+        for i, t, row in zip(owner, ts.tolist(), traj.states_at(ts).tolist()):
+            assert row == _row_at(traj, i, t)
 
 
 def test_states_at_matches_per_time_evaluation_bit_for_bit():
     # unsorted times with repeats, exact segment starts and both ends of the
-    # horizon, against one segment_at(t) evaluation per time
+    # horizon, against one evaluation per time on the segment that owns it
     rng = np.random.default_rng(31)
     multi = 0
     for _ in range(40):
@@ -260,14 +280,23 @@ def test_states_at_matches_per_time_evaluation_bit_for_bit():
         drawn = rng.uniform(0.0, 10.0, 48)
         ts = np.concatenate([drawn, drawn[:8], starts, starts, [0.0, 10.0, 10.0]])
         rng.shuffle(ts)
-        rows = []
-        for t in ts.tolist():
-            seg = traj.segment_at(t)
-            tau = np.array([t - seg.t_start])
-            rows.append([seg.form_a.value_array(tau)[0], seg.form_b.value_array(tau)[0]])
-        assert traj.states_at(ts).tobytes() == np.array(rows).tobytes()
-        assert traj.states_at(np.sort(ts)).tobytes() == np.array(rows)[np.argsort(ts)].tobytes()
+        rows = np.array([_row_at(traj, i, t)
+                         for i, t in zip(traj.segment_indices(ts).tolist(), ts.tolist())])
+        assert traj.states_at(ts).tobytes() == rows.tobytes()
+        assert traj.states_at(np.sort(ts)).tobytes() == rows[np.argsort(ts)].tobytes()
     assert multi >= 20
+    # the horizon row is the form, not the stored end state (math.exp): on a
+    # pure exponential np.exp and math.exp differ in the last bit at some of
+    # these horizons (8 of 200 on an AVX-512 host)
+    form = ExpLinear(0.0, 0.0, 1.0, 1.0)
+    for horizon in np.linspace(0.01, 50.0, 200).tolist():
+        end = NormalizedState(form.value(horizon), form.value(horizon))
+        segment = RegimeSegment(Regime.A_EXPORTS, 0.0, horizon, NormalizedState(1.0, 1.0),
+                                end, form, form)
+        traj = analytic.PiecewiseTrajectory((segment,), horizon)
+        ts = np.array([horizon, 0.0, horizon])
+        rows = np.array([_row_at(traj, 0, t) for t in ts.tolist()])
+        assert traj.states_at(ts).tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300, 10.5])
@@ -276,7 +305,7 @@ def test_states_at_rejects_times_outside_the_horizon(bad):
     traj = simulate_analytic(NormalizedState(0.5, 0.5), econ, 10.0)
     with pytest.raises(ValueError, match=r"sample times outside \[0, horizon\]"):
         traj.states_at(np.array([0.5, bad, 1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"sample times outside \[0, horizon\]"):
         traj.state_at(bad)
 
 
@@ -346,6 +375,17 @@ def test_simulate_validates_arguments():
         simulate_analytic(NormalizedState(0.5, 0.5), econ, 0.0)
     with pytest.raises(ValueError):
         simulate_analytic(NormalizedState(0.5, 0.5), econ, 10.0, event_tol=0.0)
+
+
+def test_a_trajectory_starts_at_zero():
+    # states_at and segment_indices give t = 0 to the first segment
+    form = ExpLinear(0.0, 0.0, 1.0, 1.0)
+    state = NormalizedState(1.0, 1.0)
+    late = RegimeSegment(Regime.A_EXPORTS, 0.5, 1.0, state, state, form, form)
+    with pytest.raises(ValueError, match="trajectory must start at t=0, got 0.5"):
+        analytic.PiecewiseTrajectory((late,), 1.0)
+    with pytest.raises(ValueError, match="at least one segment"):
+        analytic.PiecewiseTrajectory((), 1.0)
 
 
 def test_boundary_start_with_zero_drift_stays_below():

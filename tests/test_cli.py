@@ -1,6 +1,8 @@
+import bisect
 import errno
 import functools
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from tradeflow import cli, floatfmt
-from tradeflow.analytic import PiecewiseTrajectory, simulate_analytic
+from tradeflow.analytic import PiecewiseTrajectory, RegimeSegment, simulate_analytic
 from tradeflow.cli import EXIT_DEPLETION, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from tradeflow.core import GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
 from tradeflow.exchange import MAX_SEGMENTS, exchange_flow
@@ -1128,13 +1130,16 @@ def test_simulate_analytic_does_not_import_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_analytic_series_regimes_match_regime_at():
+def test_analytic_series_regimes_match_the_owning_segment():
+    # against the scalar rule: the last segment that starts at or before t
     econ = GoodEconomy(p_a=1.0, p_b=0.9, c_a=1.0, c_b=1.0, sigma=1.0)
     traj = simulate_analytic(NormalizedState(2.0, 0.1 + np.log(10.0) / 10.0 + 1e-7),
                              econ, 5.0)
     assert len(traj.segments) > 2
     series = cli._analytic_series(traj, econ, None, None, 1e-3)
-    assert series.regimes == [traj.regime_at(t) for t in series.times.tolist()]
+    starts = [seg.t_start for seg in traj.segments]
+    assert series.regimes == [traj.segments[bisect.bisect_right(starts, t) - 1].regime
+                              for t in series.times.tolist()]
 
 
 def test_region_mismatch_reports_the_last_node_in_row_major_order(tmp_path, capsys,
@@ -1187,36 +1192,52 @@ def test_closed_form_money_matches_rk4_co_integration(tmp_path, text):
     CROSSING_WITH_PRICES,
 ], ids=["steady_state", "crossing_with_prices"])
 def test_analytic_money_makes_no_scalar_lookups(tmp_path, monkeypatch, text):
+    # one states_at call for the samples and one for the interval midpoints
     def scalar_lookup(*args, **kwargs):
         raise AssertionError("a per-sample scalar lookup ran")
 
-    for name in ("state_at", "segment_at", "regime_at"):
-        monkeypatch.setattr(PiecewiseTrajectory, name, scalar_lookup)
+    calls = []
+    states_at = PiecewiseTrajectory.states_at
+    monkeypatch.setattr(PiecewiseTrajectory, "state_at", scalar_lookup)
+    monkeypatch.setattr(PiecewiseTrajectory, "states_at",
+                        lambda traj, times: calls.append(len(times)) or states_at(traj, times))
     path = tmp_path / "run.scenario"
     path.write_text(text)
     out = tmp_path / "run.csv"
     assert main(["simulate", str(path), "--analytic", "--out", str(out)]) == EXIT_OK
+    samples = len(_rows(out)[1])
+    assert calls == [samples, samples - 1]
+    assert not {"segment_at", "regime_at"} & set(vars(PiecewiseTrajectory))
+    assert "state_at" not in vars(RegimeSegment)
 
 
 def _simpson_money_per_sample(traj, econ, prices, money0, times):
-    """Simpson quadrature one sample interval at a time on scalar state_at
-    lookups: the reference the array form of `_money_along` must match."""
+    """Simpson quadrature one sample interval at a time on scalar evaluations,
+    `ExpLinear.value` on the segment that `segment_indices` picks and the
+    stored state at a segment's start: the reference the array form of
+    `_money_along` must match."""
     sig, y = econ.sigma, prices.y
     base_a = -prices.x_a * econ.p_a + y * econ.c_a
     base_b = -prices.x_b * econ.p_b + y * econ.c_b
 
-    def money_rates(t):
-        sf = sig * exchange_flow(traj.state_at(t))
+    def money_rates(t, i):
+        seg = traj.segments[i]
+        state = seg.state_start if t == seg.t_start else NormalizedState(
+            seg.form_a.value(t - seg.t_start), seg.form_b.value(t - seg.t_start))
+        sf = sig * exchange_flow(state)
         return base_a + y * sf, base_b - y * sf
 
     ma, mb = money0.m_a, money0.m_b
     mas, mbs = [ma], [mb]
     ts = times.tolist()
-    for t0, t1 in zip(ts, ts[1:]):
+    mids = [t0 + 0.5 * (t1 - t0) for t0, t1 in zip(ts, ts[1:])]
+    owner = traj.segment_indices(times).tolist()
+    owner_mid = traj.segment_indices(np.array(mids)).tolist()
+    for t0, t1, tm, i0, i1, im in zip(ts, ts[1:], mids, owner, owner[1:], owner_mid):
         h = t1 - t0
-        ra0, rb0 = money_rates(t0)
-        ram, rbm = money_rates(t0 + 0.5 * h)
-        ra1, rb1 = money_rates(t1)
+        ra0, rb0 = money_rates(t0, i0)
+        ram, rbm = money_rates(tm, im)
+        ra1, rb1 = money_rates(t1, i1)
         ma += h / 6.0 * (ra0 + 4.0 * ram + ra1)
         mb += h / 6.0 * (rb0 + 4.0 * rbm + rb1)
         mas.append(ma)
@@ -1274,6 +1295,61 @@ def test_array_money_is_bit_equal_on_a_linear_segment():
         got, want = _money_both_ways(traj, econ, prices, money0, horizon / 997)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
+
+
+def _stored_state_pool(n=2000):
+    """(economy, start) draws with rates in [0.5, 2], sigma in [0.1, 3] and
+    stocks in [0.6, 1.4], from a seeded numpy generator: the draws depend on
+    the seed alone, not on the literals in the package's source as
+    derandomized hypothesis draws do."""
+    rng = np.random.default_rng(2027)
+    for _ in range(n):
+        rates = rng.uniform(0.5, 2.0, 4).tolist()
+        sigma = float(rng.uniform(0.1, 3.0))
+        yield GoodEconomy(*rates, sigma), NormalizedState(*rng.uniform(0.6, 1.4, 2).tolist())
+
+
+def _stored_states(traj):
+    return ([seg.t_start for seg in traj.segments],
+            [[seg.state_start.eta_a, seg.state_start.eta_b] for seg in traj.segments])
+
+
+def _keys(obj):
+    return "".join(f"{k} = {v!r}\n" for k, v in vars(obj).items())
+
+
+def test_states_at_gives_the_stored_state_at_every_segment_start():
+    # row 0 is the input, and an event row the state the next segment starts
+    # from, bit for bit
+    segments = 0
+    for econ, state0 in _stored_state_pool():
+        traj = simulate_analytic(state0, econ, 5.0)
+        starts, stored = _stored_states(traj)
+        assert stored[0] == [state0.eta_a, state0.eta_b]
+        assert traj.states_at(np.array(starts)).tolist() == stored
+        segments += len(starts)
+    assert segments >= 3900  # about 2 per draw
+
+
+def test_t0_and_event_rows_of_the_files_are_the_stored_states(tmp_path):
+    # the first 250 draws of the pool through the CLI (all 2000 would add
+    # about 15 s): the --analytic file's t = 0 and event rows, and row 0 of
+    # the --both comparison file, whose discrepancy is then exactly 0
+    path, out = tmp_path / "run.scenario", tmp_path / "run.csv"
+    events = 0
+    for econ, state0 in itertools.islice(_stored_state_pool(), 250):
+        path.write_text(f"[model]\nkind = one-good\n[good1]\n{_keys(econ)}"
+                        f"[initial]\n{_keys(state0)}[solver]\nhorizon = 5\nstep = 0.01\n")
+        starts, stored = _stored_states(simulate_analytic(state0, econ, 5.0))
+        assert main(["simulate", str(path), "--analytic", "--out", str(out)]) == EXIT_OK
+        rows = {float(r[0]): [float(r[1]), float(r[2])] for r in _rows(out)[1]}
+        assert [rows[t] for t in starts] == stored
+        events += len(starts) - 1
+        code = main(["simulate", str(path), "--both", "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_DEPLETION)  # RK4 halts where a stock reaches zero
+        first = [float(v) for v in _rows(out.with_name("run.compare.csv"))[1][0]]
+        assert first == [0.0, *stored[0], *stored[0], 0.0]
+    assert events >= 200
 
 
 @pytest.mark.parametrize("contents, reason", [
@@ -1650,11 +1726,13 @@ def _item3(repro):
     pytest.param("1e-12", "both", marks=_item3(
         "sigma = 1e-12: --both exits 2 with discrepancy 3.0517595505208384e-05")),
     pytest.param("1e-200", "analytic", marks=_item3(
-        "sigma = 1e-200: --analytic exits 0, writes row 0 as 0,0,0,a_exports and logs "
-        "crossings at t = 1e-10 and t = 4.0000000001")),
+        "sigma = 1e-200: --analytic exits 0 and writes row 0 as 0,1.5,0.5,a_exports,0.5, "
+        "but logs spurious crossings at t = 1e-10, 4.0000000001473115, "
+        "4.0000000002473115 and later")),
     pytest.param("1e-300", "analytic", marks=_item3(
-        "sigma = 1e-300: --analytic exits 0, writes row 0 as 0,0,0,a_exports and logs "
-        "crossings at t = 1e-10 and t = 4.0000000001")),
+        "sigma = 1e-300: --analytic exits 0 and writes row 0 as 0,1.5,0.5,a_exports,0.5, "
+        "but logs spurious crossings at t = 1e-10, 4.0000000001473115, "
+        "4.0000000002473115 and later")),
     pytest.param("5e-324", "analytic", marks=_item3(
         "sigma = 5e-324: --analytic exits 2 with 'eta_a must be a finite number, got nan'")),
     pytest.param("5e-324", "both", marks=_item3(
