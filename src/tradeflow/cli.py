@@ -143,10 +143,9 @@ class _Coded:
         return _Coded(self.table, self.codes[rows])
 
 
-#: Each regime's name, NUL-padded, at its code in `_REGIME_CODES`.
+#: Each regime's name, NUL-padded, at its code (`exchange.regime_code`).
 _REGIME_NAMES = np.array([r.value for r in Regime], dtype="S").view(np.uint8).reshape(
     len(Regime), -1)
-_REGIME_CODES = {r.value: i for i, r in enumerate(Regime)}
 
 
 def _slots(c) -> np.ndarray:
@@ -275,20 +274,21 @@ def _write_csvs(lead: list, files: list[tuple[Path, str, list]]) -> Iterator[Non
 
 
 def _timeseries_plot_script(data_name: str, with_money: bool) -> list[str]:
+    data = "'" + data_name.replace("'", "''") + "'"  # gnuplot quotes ' as ''
     lines = [
         "set datafile separator ','",
         "set xlabel 'time'",
         "set ylabel 'stock level'",
-        f"plot '{data_name}' skip 1 using 1:2 with lines title 'eta_a', \\",
-        f"     '{data_name}' skip 1 using 1:3 with lines title 'eta_b', \\",
+        f"plot {data} skip 1 using 1:2 with lines title 'eta_a', \\",
+        f"     {data} skip 1 using 1:3 with lines title 'eta_b', \\",
         "     1 with lines dashtype 2 title 'threshold'",
     ]
     if with_money:
         lines += [
             "pause -1 'press return for the money view'",
             "set ylabel 'money holdings'",
-            f"plot '{data_name}' skip 1 using 1:6 with lines title 'm_a', \\",
-            f"     '{data_name}' skip 1 using 1:7 with lines title 'm_b'",
+            f"plot {data} skip 1 using 1:6 with lines title 'm_a', \\",
+            f"     {data} skip 1 using 1:7 with lines title 'm_b'",
         ]
     return lines
 
@@ -337,8 +337,8 @@ def _analytic_series(
     events = traj.events
     times = _sample_times(traj.horizon, step, [e.t for e in events])
     states = traj.states_at(times)
-    seg_regimes = np.array([seg.regime for seg in traj.segments], dtype=object)
-    regimes = seg_regimes[traj.segment_indices(times)].tolist()
+    codes = np.array([tuple(Regime).index(seg.regime) for seg in traj.segments], np.uint8)
+    regimes = codes[traj.segment_indices(times)]
     if prices is not None:
         m_a, m_b = _money_along(traj, econ, prices, money0, times, states)
     else:
@@ -395,9 +395,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
 
     header = "t,eta_a,eta_b,regime,f"
-    # `.value` is a slow Enum property
-    codes = np.array([_REGIME_CODES[r._value_] for r in series.regimes], dtype=np.intp)
-    columns = [_Coded(_REGIME_NAMES, codes), flow_array(series.eta_a, series.eta_b)]
+    columns = [_Coded(_REGIME_NAMES, series.regimes), flow_array(series.eta_a, series.eta_b)]
     if series.m_a is not None:
         header += ",m_a,m_b"
         columns += [series.m_a, series.m_b]
@@ -509,11 +507,12 @@ def cmd_region(args: argparse.Namespace) -> int:
             print(f"wrote {total} nodes to {out}")
             if args.plot:
                 path = script
+                data = "'" + out.name.replace("'", "''") + "'"  # gnuplot quotes ' as ''
                 _write(script, (f"{line}\n".encode() for line in [
                     "set datafile separator ','",
                     "set xlabel 'sigma1'",
                     "set ylabel 'eta_a1'",
-                    f"plot '{out.name}' skip 1 using ($8 == 1 ? $1 : 1/0):2 "
+                    f"plot {data} skip 1 using ($8 == 1 ? $1 : 1/0):2 "
                     "with points pt 7 ps 0.4 title 'feasible'",
                 ]))
                 print(f"wrote plot script {script}")

@@ -21,9 +21,11 @@ import numpy as np
 from .core import GoodEconomy, NormalizedState, Regime
 
 __all__ = ["GUARD_STATE_TOL", "MAX_SEGMENTS", "bisect", "exchange_flow", "flow_array",
-           "regime_from_sides", "rhs", "sides"]
+           "regime_code", "regime_from_sides", "rhs", "sides"]
 
 _T = TypeVar("_T")
+
+_REGIMES = tuple(Regime)
 
 #: Residual |eta - guard| allowed at a localized crossing.
 GUARD_STATE_TOL = 1e-9
@@ -56,10 +58,13 @@ def flow_array(eta_a: np.ndarray, eta_b: np.ndarray) -> np.ndarray:
     return np.maximum(eta_a - 1.0, 0.0) - np.maximum(eta_b - 1.0, 0.0)
 
 
+def regime_code(a_above, b_above):
+    """The code of the sides' regime, its index in ``Regime``; elementwise on arrays."""
+    return a_above + 2 * b_above
+
+
 def regime_from_sides(a_above: bool, b_above: bool) -> Regime:
-    if a_above:
-        return Regime.BILATERAL if b_above else Regime.A_EXPORTS
-    return Regime.B_EXPORTS if b_above else Regime.NO_EXCHANGE
+    return _REGIMES[regime_code(a_above, b_above)]
 
 
 def sides(eta_a: float, eta_b: float, econ: GoodEconomy) -> tuple[bool, bool]:

@@ -34,8 +34,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import Event, GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
-from .exchange import GUARD_STATE_TOL, MAX_SEGMENTS, bisect, flow_array, regime_from_sides, sides
+from .core import Event, GoodEconomy, MoneyState, NormalizedState, PriceSet
+from .exchange import GUARD_STATE_TOL, MAX_SEGMENTS, bisect, flow_array, regime_code, sides
 from .money import money_holdings
 
 __all__ = [
@@ -48,12 +48,6 @@ __all__ = [
 
 #: Most samples (horizon/step) a run may ask for; keeps its time and memory bounded.
 MAX_SAMPLES = 10**7
-
-#: Regime of each sample, indexed by (eta_a > 1) + 2*(eta_b > 1).
-_REGIME_LUT = np.array(
-    [regime_from_sides(bool(code & 1), bool(code & 2)) for code in range(4)],
-    dtype=object,
-)
 
 
 class DepletionPolicy(Enum):
@@ -93,14 +87,15 @@ class SolverOptions:
 class TimeSeries:
     """Samples at every accepted step plus every event time.
 
-    Parallel arrays, with finite and strictly increasing times; money arrays
-    are present only when prices were supplied to the integrator.
+    Parallel arrays, with finite and strictly increasing times and uint8 regime
+    codes (`exchange.regime_code`); money arrays are present only when prices
+    were supplied to the integrator.
     """
 
     times: np.ndarray
     eta_a: np.ndarray
     eta_b: np.ndarray
-    regimes: list[Regime]
+    regimes: np.ndarray
     m_a: np.ndarray | None
     m_b: np.ndarray | None
     events: list[Event] = field(default_factory=list)
@@ -255,8 +250,8 @@ def integrate_with_events(
         ea_arr = np.array(eas, dtype=np.float64)
         eb_arr = np.array(ebs, dtype=np.float64)
         del ts[:], eas[:], ebs[:]  # free them before the money pass (peak memory)
-        regimes = _REGIME_LUT[(ea_arr > 1.0) + 2 * (eb_arr > 1.0)].tolist()
-        regimes[0] = regime_from_sides(*sides(ea_arr[0], eb_arr[0], econ))  # row 0 may sit at 1
+        regimes = regime_code(ea_arr > 1.0, eb_arr > 1.0).astype(np.uint8)
+        regimes[0] = regime_code(*sides(ea_arr[0], eb_arr[0], econ))  # row 0 may sit at 1
         m_a = m_b = None
         if prices is not None:  # the step lengths' one reader is the money pass
             h = np.full(len(times) - 1, step)

@@ -109,6 +109,105 @@ MUTANTS = [
         "if False:",
         ("tests/test_integrator.py::test_flow_free_steps_skip_the_kernel",),
         "every full RK4 step below the threshold runs the four-stage kernel"),
+    # the regime codes, from both engines to the file
+    Mutant(
+        "regime-code-bits-swapped", "integrator.py",
+        "regimes = regime_code(ea_arr > 1.0, eb_arr > 1.0)",
+        "regimes = regime_code(eb_arr > 1.0, ea_arr > 1.0)",
+        ("tests/test_integrator.py::test_series_columns_are_float_arrays_and_regimes_follow_the_stocks",
+         "tests/test_events.py::test_engines_agree_on_the_crossing_events"),
+        "the RK4 series codes its samples 2*a_above + b_above, so A exports "
+        "prints as b_exports"),
+    Mutant(
+        "row-0-by-threshold", "integrator.py",
+        "regimes[0] = regime_code(*sides(ea_arr[0], eb_arr[0], econ))",
+        "regimes[0] = regime_code(ea_arr[0] > 1.0, eb_arr[0] > 1.0)",
+        ("tests/test_cli.py::test_a_start_exactly_at_the_threshold_is_sided_by_its_derivative[numeric]",),
+        "row 0 of an RK4 series is coded by eta > 1, so a stock that starts at 1 "
+        "and rises shows the regime below the threshold"),
+    Mutant(
+        "analytic-regime-from-the-segment-before", "cli.py",
+        "regimes = codes[traj.segment_indices(times)]",
+        "regimes = codes[traj.segment_indices(times) - 1]",
+        ("tests/test_cli.py::test_analytic_series_regimes_match_the_owning_segment",
+         "tests/test_cli.py::test_a_start_exactly_at_the_threshold_is_sided_by_its_derivative[analytic]"),
+        "the --analytic regime column takes each row's regime from the segment "
+        "before the one that owns it"),
+    Mutant(
+        "regime-names-in-another-order", "cli.py",
+        "[r.value for r in Regime]",
+        "[r.value for r in reversed(Regime)]",
+        ("tests/test_cli.py::test_regime_codes_are_the_order_of_regime",
+         "tests/test_cli.py::test_write_csv_of_coded_and_bool_columns_matches_per_value_rendering"),
+        "the writer decodes the regime codes through a name table in another "
+        "order than Regime"),
+    # faults that earlier changes checked by hand (CHANGES.md)
+    Mutant(
+        "regime-table-one-byte-short", "cli.py",
+        "len(Regime), -1)",
+        "len(Regime), -1)[:, :-1]",
+        ("tests/test_cli.py::test_regime_codes_are_the_order_of_regime",
+         "tests/test_cli.py::test_write_csv_of_coded_and_bool_columns_matches_per_value_rendering"),
+        "the regime name table is one byte short, so no_exchange prints as "
+        "no_exchang"),
+    Mutant(
+        "bools-as-1-2", "cli.py",
+        "np.uint8(48)",
+        "np.uint8(49)",
+        ("tests/test_cli.py::test_write_csv_of_coded_and_bool_columns_matches_per_value_rendering",
+         "tests/test_cli.py::test_region_fig2"),
+        "bool columns print as 1/2 instead of 0/1"),
+    Mutant(
+        "region-axis-codes-swapped", "cli.py",
+        "nodes % n),\n               _Coded(float_slots(scan.eta_a1), nodes // n)",
+        "nodes // n),\n               _Coded(float_slots(scan.eta_a1), nodes % n)",
+        ("tests/test_cli.py::test_region_file_matches_rows_rendered_per_value[fig2]",),
+        "the region file's sigma1 column takes the eta_a1 node index and the "
+        "other way round"),
+    Mutant(
+        "rounding-half-up", "floatfmt.py",
+        "nearest = np.rint(t)",
+        "nearest = np.floor(t + 0.5)",
+        ("tests/test_cli.py::test_float_blocks_match_percent_17g_one_block_at_a_time",
+         "tests/test_cli.py::test_uncertified_digits_take_percent_17g"),
+        "the 17 digits round a tie up instead of to even, as %.17g does"),
+    Mutant(
+        "log10-guess-trusted", "floatfmt.py",
+        "    i += a >= up[1:].take(i)\n    i -= a < up.take(i)\n",
+        "",
+        ("tests/test_cli.py::test_a_log10_guess_off_by_one_is_settled",),
+        "the exponent is floor(log10 a) uncorrected, one off about powers of ten"),
+    Mutant(
+        "every-bracketed-stock-flipped", "analytic.py",
+        "if bracket_a is not None and (end.eta_a > 1.0) != a_above:\n"
+        "            a_above = not a_above\n"
+        "        if bracket_b is not None and (end.eta_b > 1.0) != b_above:",
+        "if bracket_a is not None:\n"
+        "            a_above = not a_above\n"
+        "        if bracket_b is not None:",
+        ("tests/test_analytic.py::test_the_bisection_settles_every_stock_past_the_threshold",
+         "tests/test_analytic.py::test_two_bracketed_stocks_locate_the_earlier_crossing"),
+        "at a closed-form crossing every bracketed stock flips, also one that "
+        "has not crossed yet"),
+    Mutant(
+        "extremum-moved-1e-14", "analytic.py",
+        "return -math.log(q) / form.rate if q > 0.0 else None",
+        "return -math.log(q) / form.rate * (1.0 + 1e-14) if q > 0.0 else None",
+        ("tests/test_analytic.py::test_the_extremum_is_within_a_few_ulps_of_the_derivative_sign_change",),
+        "a dip's bracket ends 1e-14 (relative) past the form's stationary point"),
+    Mutant(
+        "endpoint-flows-as-midpoints", "cli.py",
+        "sf[:-1], sf_mid, sf_mid, sf[1:])",
+        "sf_mid, sf_mid, sf_mid, sf_mid)",
+        ("tests/test_cli.py::test_array_money_matches_the_per_sample_quadrature",),
+        "closed-form money takes the midpoint flow at the interval ends too"),
+    Mutant(
+        "b-flow-sign", "money.py",
+        "lambda sf: base_b - y * sf",
+        "lambda sf: base_b + y * sf",
+        ("tests/test_money.py::test_money_holdings_adds_rk4_increments_in_sequence",
+         "tests/test_cli.py::test_array_money_matches_the_per_sample_quadrature"),
+        "country B earns on its imports instead of paying for them"),
 ]
 
 

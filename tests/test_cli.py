@@ -20,7 +20,7 @@ from tradeflow import cli, floatfmt
 from tradeflow.analytic import PiecewiseTrajectory, RegimeSegment, simulate_analytic
 from tradeflow.cli import EXIT_DEPLETION, EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from tradeflow.core import GoodEconomy, MoneyState, NormalizedState, PriceSet, Regime
-from tradeflow.exchange import MAX_SEGMENTS, exchange_flow
+from tradeflow.exchange import MAX_SEGMENTS, exchange_flow, regime_code, regime_from_sides
 from tradeflow.integrator import integrate_with_events
 from tradeflow.region import KInterval
 from tradeflow.scenario import parse_scenario
@@ -279,10 +279,16 @@ def _regimes(codes):
     return cli._Coded(cli._REGIME_NAMES, np.asarray(codes))
 
 
+def _names(codes):
+    """The regime names of an array of regime codes, decoded as
+    ``tuple(Regime)[code]``."""
+    return [tuple(Regime)[c].value for c in codes.tolist()]
+
+
 def _plain(column):
     """A writer column as the Python values `_per_value_csv` renders."""
     if isinstance(column, cli._Coded):
-        return [list(Regime)[c].value for c in column.codes.tolist()]
+        return _names(column.codes)
     return column.tolist()
 
 
@@ -339,9 +345,21 @@ def test_write_csv_of_coded_and_bool_columns_matches_per_value_rendering(tmp_pat
     columns = [cli._Coded(cli._REGIME_NAMES, codes), flags, floats, ~flags]
     path = tmp_path / "out.csv"
     _write_csv(path, "a,b,c,d", columns)
-    names = [list(Regime)[c].value for c in codes.tolist()]
     assert path.read_bytes() == _per_value_csv(
-        "a,b,c,d", [names, flags.tolist(), floats.tolist(), (~flags).tolist()]).encode()
+        "a,b,c,d", [_names(codes), flags.tolist(), floats.tolist(), (~flags).tolist()]).encode()
+
+
+def test_regime_codes_are_the_order_of_regime():
+    # a regime's code is a_above + 2*b_above in both engines and its row in
+    # the writer's name table, so reordering Regime fails here instead of
+    # mislabelling rows
+    assert list(Regime) == [Regime.NO_EXCHANGE, Regime.A_EXPORTS, Regime.B_EXPORTS,
+                            Regime.BILATERAL]
+    assert [regime_from_sides(bool(c & 1), bool(c & 2)) for c in range(4)] == list(Regime)
+    assert regime_code(np.array([False, True, False, True]),
+                       np.array([False, False, True, True])).tolist() == [0, 1, 2, 3]
+    assert [bytes(row).replace(b"\0", b"").decode() for row in cli._REGIME_NAMES] == [
+        r.value for r in Regime]
 
 
 FORKS = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
@@ -952,7 +970,7 @@ def test_both_files_match_per_value_rendering_about_the_split(tmp_path, monkeypa
     flow = [exchange_flow(NormalizedState(a, b)) for a, b in zip(lead[1], lead[2])]
     assert out.read_bytes() == _per_value_csv(
         "t,eta_a,eta_b,regime,f,m_a,m_b",
-        lead + [[r.value for r in series.regimes], flow, series.m_a.tolist(),
+        lead + [_names(series.regimes), flow, series.m_a.tolist(),
                 series.m_b.tolist()]).encode()
     assert (tmp_path / "run.compare.csv").read_bytes() == _per_value_csv(
         "t,eta_a_numeric,eta_b_numeric,eta_a_analytic,eta_b_analytic,discrepancy",
@@ -1024,7 +1042,7 @@ def test_analytic_money_file_matches_per_value_rendering(tmp_path):
     expected = _per_value_csv(
         "t,eta_a,eta_b,regime,f,m_a,m_b",
         [series.times.tolist(), series.eta_a.tolist(), series.eta_b.tolist(),
-         [r.value for r in series.regimes], flow, series.m_a.tolist(), series.m_b.tolist()])
+         _names(series.regimes), flow, series.m_a.tolist(), series.m_b.tolist()])
     assert out.read_bytes() == expected.encode()
 
 
@@ -1138,8 +1156,9 @@ def test_analytic_series_regimes_match_the_owning_segment():
     assert len(traj.segments) > 2
     series = cli._analytic_series(traj, econ, None, None, 1e-3)
     starts = [seg.t_start for seg in traj.segments]
-    assert series.regimes == [traj.segments[bisect.bisect_right(starts, t) - 1].regime
-                              for t in series.times.tolist()]
+    assert series.regimes.dtype == np.uint8
+    assert [tuple(Regime)[c] for c in series.regimes.tolist()] == [
+        traj.segments[bisect.bisect_right(starts, t) - 1].regime for t in series.times.tolist()]
 
 
 def test_region_mismatch_reports_the_last_node_in_row_major_order(tmp_path, capsys,
@@ -1181,7 +1200,7 @@ def test_closed_form_money_matches_rk4_co_integration(tmp_path, text):
     assert main(["simulate", str(path), "--analytic", "--out", str(out)]) == EXIT_OK
     header, rows = _rows(out)
     assert header[-2:] == ["m_a", "m_b"]
-    assert {row[3] for row in rows} == {r.value for r in numeric.regimes}
+    assert {row[3] for row in rows} == set(_names(numeric.regimes))
     for analytic, rk4 in ((float(rows[-1][-2]), numeric.m_a[-1]),
                           (float(rows[-1][-1]), numeric.m_b[-1])):
         assert abs(analytic - rk4) <= 1e-7 * max(1.0, abs(rk4))
@@ -1398,6 +1417,22 @@ def test_simulate_plot_script(tmp_path):
                  "--numeric", "--out", str(out), "--plot"]) == EXIT_OK
     script = (tmp_path / "run.gnuplot").read_text()
     assert "run.csv" in script and "eta_a" in script
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["simulate", "steady_state.scenario", "--numeric"], 4),
+    (["region", "fig2.scenario"], 1),
+], ids=["simulate", "region"])
+def test_plot_scripts_quote_a_data_name_that_holds_a_quote(tmp_path, argv, names):
+    # gnuplot writes a ' inside a single-quoted string as ''
+    command, scenario, *flags = argv
+    out = tmp_path / "it's.csv"
+    assert main([command, str(SCENARIO_DIR / scenario), *flags, "--out", str(out),
+                 "--plot"]) == EXIT_OK
+    lines = [line for line in (tmp_path / "it's.gnuplot").read_text().splitlines()
+             if "s.csv" in line]
+    assert len(lines) == names
+    assert all("'it''s.csv' skip 1 using " in line for line in lines)
 
 
 def test_fixed_point_table(capsys):

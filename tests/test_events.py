@@ -85,7 +85,7 @@ def test_engines_agree_on_the_crossing_events():
     for e, regime in zip(series.events, (Regime.A_EXPORTS, Regime.BILATERAL)):
         i = int(np.searchsorted(series.times, e.t))
         assert series.times[i] == e.t
-        assert series.regimes[i] is regime  # the regime right after the crossing
+        assert tuple(Regime)[series.regimes[i]] is regime  # the regime right after the crossing
 
 
 def test_steady_state_has_no_events_in_either_engine():

@@ -155,7 +155,7 @@ def test_simultaneous_crossings_record_both():
     assert [(e.kind, e.stock) for e in rising.events] == [("crossing", "eta_a"),
                                                           ("crossing", "eta_b")]
     assert rising.events[0].t == rising.events[1].t
-    assert rising.regimes[-1] is Regime.BILATERAL
+    assert tuple(Regime)[rising.regimes[-1]] is Regime.BILATERAL
     draining = integrate_with_events(NormalizedState(0.5, 0.5),
                                      GoodEconomy(0.75, 0.75, 1.0, 1.0, 1.0),
                                      _opts(depletion_policy=DepletionPolicy.HALT))
@@ -181,7 +181,8 @@ def test_integration_is_deterministic():
     assert np.array_equal(a.eta_a, b.eta_a)
     assert np.array_equal(a.eta_b, b.eta_b)
     assert a.events == b.events
-    assert a.regimes == b.regimes
+    assert a.regimes.dtype == b.regimes.dtype == np.uint8
+    assert np.array_equal(a.regimes, b.regimes)
 
 
 def test_single_step_equals_rk4_step():
@@ -315,7 +316,7 @@ def test_timeseries_validates_parallel_arrays():
             times=np.array([0.0, 1.0]),
             eta_a=np.array([1.0]),
             eta_b=np.array([1.0, 2.0]),
-            regimes=[Regime.NO_EXCHANGE, Regime.NO_EXCHANGE],
+            regimes=np.zeros(2, np.uint8),
             m_a=None,
             m_b=None,
         )
@@ -324,7 +325,7 @@ def test_timeseries_validates_parallel_arrays():
             times=np.array([0.0, 0.0]),
             eta_a=np.array([1.0, 1.0]),
             eta_b=np.array([1.0, 1.0]),
-            regimes=[Regime.NO_EXCHANGE, Regime.NO_EXCHANGE],
+            regimes=np.zeros(2, np.uint8),
             m_a=None,
             m_b=None,
         )
@@ -333,7 +334,7 @@ def test_timeseries_validates_parallel_arrays():
 def _series_at(times):
     n = len(times)
     return TimeSeries(times=np.array(times), eta_a=np.ones(n), eta_b=np.ones(n),
-                      regimes=[Regime.NO_EXCHANGE] * n, m_a=None, m_b=None)
+                      regimes=np.zeros(n, np.uint8), m_a=None, m_b=None)
 
 
 @pytest.mark.parametrize("times", [
@@ -357,7 +358,7 @@ def test_timeseries_accepts_strictly_increasing_times(times):
 def test_timeseries_regimes_follow_the_samples():
     econ = GoodEconomy(1.25, 1.0, 1.0, 1.0, 1.0)
     series = integrate_with_events(NormalizedState(0.5, 0.5), econ, _opts())
-    first, last = series.regimes[0], series.regimes[-1]
+    first, last = (tuple(Regime)[c] for c in series.regimes[[0, -1]].tolist())
     assert first is Regime.NO_EXCHANGE
     assert last in (Regime.A_EXPORTS, Regime.BILATERAL)
     assert (series.eta_a[0], series.eta_b[0]) == (0.5, 0.5)
@@ -413,9 +414,9 @@ def test_series_columns_are_float_arrays_and_regimes_follow_the_stocks():
         s = integrate_with_events(*draw)
         for arr in (s.times, s.eta_a, s.eta_b):
             assert arr.dtype == np.float64 and arr.flags.c_contiguous
-        assert len(s.regimes) == len(s)
-        for regime, ea, eb in zip(s.regimes, s.eta_a.tolist(), s.eta_b.tolist()):
-            assert regime is regime_from_sides(ea > 1.0, eb > 1.0)
+        assert s.regimes.dtype == np.uint8 and len(s.regimes) == len(s)
+        for code, ea, eb in zip(s.regimes.tolist(), s.eta_a.tolist(), s.eta_b.tolist()):
+            assert tuple(Regime)[code] is regime_from_sides(ea > 1.0, eb > 1.0)
 
 
 def test_money_never_feeds_back_into_stocks_times_or_events():
