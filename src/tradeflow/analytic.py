@@ -36,7 +36,9 @@ _ABOVE = (("eta_a", {regime_from_sides(True, b_above) for b_above in (False, Tru
 
 @dataclass(frozen=True)
 class ExpLinear:
-    """Scalar function const + slope*t + coef*exp(-rate*t).
+    """The function const + slope*t + coef*exp(-rate*t), evaluated only by
+    :meth:`value`: the rows, the brackets, the crossing bisection and the
+    segment ends all read it there.
 
     Convex when coef > 0, concave when coef < 0, affine when coef == 0;
     the derivative is monotone in every case.
@@ -47,15 +49,12 @@ class ExpLinear:
     coef: float
     rate: float
 
-    def value(self, t: float) -> float:
+    def value(self, t, lib=math):
+        """The form at t, with ``lib.exp`` (``math`` for a float, ``numpy``
+        elementwise on an array)."""
         if self.coef == 0.0:
             return self.const + self.slope * t
-        return self.const + self.slope * t + self.coef * math.exp(-self.rate * t)
-
-    def value_array(self, t: np.ndarray) -> np.ndarray:
-        if self.coef == 0.0:
-            return self.const + self.slope * t
-        return self.const + self.slope * t + self.coef * np.exp(-self.rate * t)
+        return self.const + self.slope * t + self.coef * lib.exp(-self.rate * t)
 
 
 def _export_forms(
@@ -214,8 +213,8 @@ class PiecewiseTrajectory:
             out[lo:mid] = seg.state_start.eta_a, seg.state_start.eta_b
             if mid < hi:
                 tau = times[mid:hi] - seg.t_start
-                out[mid:hi, 0] = seg.form_a.value_array(tau)
-                out[mid:hi, 1] = seg.form_b.value_array(tau)
+                out[mid:hi, 0] = seg.form_a.value(tau, np)
+                out[mid:hi, 1] = seg.form_b.value(tau, np)
         if order is not None:
             out[order] = out.copy()
         return out
@@ -264,16 +263,11 @@ def _first_crossing(bracketed, tol: float) -> float:
     past tol until each form past it there sits on the guard. A form already
     past its side at max lo (its crossing falls inside another stock's step-in
     off the guard) is located just past max lo, within tol of its crossing."""
-    # ``form.value(t) - 1.0`` inline (rate 0 makes an affine exp term exactly
-    # 0.0); past a crossing, an excess off the guard if any, else the last.
-    tests = [(f.const, f.slope, f.coef, f.rate if f.coef else 0.0, above)
-             for f, above, _ in bracketed]
-    exp = math.exp
-
     def past(t):
+        # past a crossing, an excess off the guard if any, else the last
         excess = None
-        for c, s, a, r, above in tests:
-            g = c + s * t + a * exp(-r * t) - 1.0
+        for form, above, _ in bracketed:
+            g = form.value(t) - 1.0
             if (g > 0.0) != above:
                 excess = g
                 if not abs(g) <= GUARD_STATE_TOL:
@@ -318,29 +312,23 @@ def simulate_analytic(
         bracket_a = _bracket(form_a, a_above, remaining, event_tol)
         bracket_b = _bracket(form_b, b_above, remaining, event_tol)
         if bracket_a is None and bracket_b is None:
-            end = NormalizedState(form_a.value(remaining), form_b.value(remaining))
-            segments.append(
-                RegimeSegment(regime, t, horizon, state, end, form_a, form_b)
-            )
-            break
-
-        tau = _first_crossing([(form, above, b) for form, above, b in (
-            (form_a, a_above, bracket_a), (form_b, b_above, bracket_b)) if b is not None],
-            event_tol)
-        t_end = min(t + tau, horizon)
-        if t_end <= t:
-            raise RuntimeError(
-                f"crossing localization stalled at t={t!r} (regime {regime}, "
-                f"state {state}); cannot advance"
-            )
+            tau, t_end = remaining, horizon
+        else:
+            tau = _first_crossing([(form, above, b) for form, above, b in (
+                (form_a, a_above, bracket_a), (form_b, b_above, bracket_b)) if b is not None],
+                event_tol)
+            t_end = min(t + tau, horizon)
+            if t_end <= t:
+                raise RuntimeError(
+                    f"crossing localization stalled at t={t!r} (regime {regime}, "
+                    f"state {state}); cannot advance"
+                )
         end = NormalizedState(form_a.value(tau), form_b.value(tau))
-        segments.append(
-            RegimeSegment(regime, t, t_end, state, end, form_a, form_b)
-        )
-        if bracket_a is not None and (end.eta_a > 1.0) != a_above:
-            a_above = not a_above
-        if bracket_b is not None and (end.eta_b > 1.0) != b_above:
-            b_above = not b_above
+        segments.append(RegimeSegment(regime, t, t_end, state, end, form_a, form_b))
+        if bracket_a is not None:
+            a_above = end.eta_a > 1.0
+        if bracket_b is not None:
+            b_above = end.eta_b > 1.0
         state = end
         t = t_end
     return PiecewiseTrajectory(tuple(segments), horizon)

@@ -15,6 +15,7 @@ membership and the scan agree exactly at every representable k.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,8 +29,6 @@ from .exchange import bisect
 from .money import _rates_at_k, feasibility_check, margins
 
 __all__ = ["GridSpec", "RegionScan", "KInterval", "scan_region", "feasible_k_interval"]
-
-_BRACKET_CAP = 1e30
 
 #: Most nodes a grid may have (sigma1_steps*eta_steps); each node is a row of
 #: the output file.
@@ -148,15 +147,14 @@ def _switch(pred: Callable[[float], bool]) -> tuple[float, float]:
     (largest float where it is false, smallest float where it is true).
 
     Returns (-inf, 0.0) when it already holds at 0 and (inf, inf) when it
-    never holds below the bracket cap."""
+    holds at no finite k: the bracket doubles up to the largest float."""
     if pred(0.0):
         return -math.inf, 0.0
     lo, hi = 0.0, 1.0
     while not pred(hi):
-        lo = hi
-        hi *= 2.0
-        if hi > _BRACKET_CAP:
+        if hi == sys.float_info.max:
             return math.inf, math.inf
+        lo, hi = hi, min(2.0 * hi, sys.float_info.max)
     lo, hi, _ = bisect(lambda k: pred(k) or None, lo, hi, at_hi=True)
     return lo, hi
 

@@ -141,6 +141,41 @@ MUTANTS = [
          "tests/test_cli.py::test_write_csv_of_coded_and_bool_columns_matches_per_value_rendering"),
         "the writer decodes the regime codes through a name table in another "
         "order than Regime"),
+    # one expression per closed-form value, one way to build a segment
+    Mutant(
+        "rows-with-math", "analytic.py",
+        "out[mid:hi, 0] = seg.form_a.value(tau, np)\n"
+        "                out[mid:hi, 1] = seg.form_b.value(tau, np)",
+        "out[mid:hi] = [[seg.form_a.value(x), seg.form_b.value(x)] for x in tau.tolist()]",
+        ("tests/test_analytic.py::test_states_at_uses_the_owner_rule_of_segment_indices",
+         "tests/test_analytic.py::test_states_at_matches_per_time_evaluation_bit_for_bit"),
+        "states_at evaluates its rows with math.exp, one time at a time; killed only "
+        "where np.exp and math.exp differ in the last bit (as on an AVX-512 host)"),
+    Mutant(
+        "no-crossing-segment-ends-at-t-plus-remaining", "analytic.py",
+        "tau, t_end = remaining, horizon",
+        "tau, t_end = remaining, t + remaining",
+        ("tests/test_analytic.py::test_the_last_segment_ends_at_exactly_the_horizon",),
+        "the segment without a crossing ends at t + (horizon - t), which rounds "
+        "off the horizon for some t"),
+    Mutant(
+        "every-stock-re-sided", "analytic.py",
+        "if bracket_a is not None:\n"
+        "            a_above = end.eta_a > 1.0\n"
+        "        if bracket_b is not None:\n"
+        "            b_above = end.eta_b > 1.0",
+        "a_above, b_above = end.eta_a > 1.0, end.eta_b > 1.0",
+        ("tests/test_events.py::test_engines_log_the_same_events[unbracketed-stock-at-1]",),
+        "at a closed-form crossing every stock is re-sided from its end value, so "
+        "a stock that rises from 1 but still rounds to 1 there goes below"),
+    Mutant(
+        "region-search-stops-at-1e30", "region.py",
+        "if hi == sys.float_info.max:",
+        "if hi > 1e30:",
+        ("tests/test_region.py::test_the_switch_search_covers_every_finite_k",
+         "tests/test_region.py::test_an_interval_above_1e30_is_found[1.0]"),
+        "the search for a feasibility bound gives up above 1e30, so region reports "
+        "[inf, inf] and exits 2 where the feasible k lie beyond it"),
     # faults that earlier changes checked by hand (CHANGES.md)
     Mutant(
         "regime-table-one-byte-short", "cli.py",
@@ -179,12 +214,12 @@ MUTANTS = [
         "the exponent is floor(log10 a) uncorrected, one off about powers of ten"),
     Mutant(
         "every-bracketed-stock-flipped", "analytic.py",
-        "if bracket_a is not None and (end.eta_a > 1.0) != a_above:\n"
-        "            a_above = not a_above\n"
-        "        if bracket_b is not None and (end.eta_b > 1.0) != b_above:",
-        "if bracket_a is not None:\n"
-        "            a_above = not a_above\n"
-        "        if bracket_b is not None:",
+        "a_above = end.eta_a > 1.0\n"
+        "        if bracket_b is not None:\n"
+        "            b_above = end.eta_b > 1.0",
+        "a_above = not a_above\n"
+        "        if bracket_b is not None:\n"
+        "            b_above = not b_above",
         ("tests/test_analytic.py::test_the_bisection_settles_every_stock_past_the_threshold",
          "tests/test_analytic.py::test_two_bracketed_stocks_locate_the_earlier_crossing"),
         "at a closed-form crossing every bracketed stock flips, also one that "

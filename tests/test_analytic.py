@@ -227,11 +227,27 @@ def _row_at(traj, i, t):
     if t == seg.t_start:
         return [seg.state_start.eta_a, seg.state_start.eta_b]
     tau = np.array([t - seg.t_start])
-    return [seg.form_a.value_array(tau)[0], seg.form_b.value_array(tau)[0]]
+    return [seg.form_a.value(tau, np)[0], seg.form_b.value(tau, np)[0]]
+
+
+def test_the_last_segment_ends_at_exactly_the_horizon():
+    # not at t + (horizon - t), which rounds off the horizon for some t; every
+    # earlier segment ends at a crossing, so adjacent segments differ in regime
+    rng = np.random.default_rng(43)
+    off = 0
+    for _ in range(200):
+        horizon = rng.uniform(0.5, 10.0)
+        traj = simulate_analytic(NormalizedState(*rng.uniform(0.5, 1.5, size=2)),
+                                 _random_econ(rng), horizon)
+        segs = traj.segments
+        assert segs[-1].t_end == horizon
+        assert all(a.regime is not b.regime for a, b in zip(segs, segs[1:]))
+        off += segs[-1].t_start + (horizon - segs[-1].t_start) != horizon
+    assert off >= 3
 
 
 def test_trajectory_point_and_array_eval_agree():
-    # ExpLinear.value (math.exp) against the rows (np.exp) on the segment that
+    # ExpLinear.value with math against the rows (numpy) on the segment that
     # segment_indices picks; at a segment start both are its stored state
     econ = GoodEconomy(p_a=1.25, p_b=1.0, c_a=1.0, c_b=1.0, sigma=1.0)
     traj = simulate_analytic(NormalizedState(0.5, 0.5), econ, 10.0)
@@ -388,6 +404,14 @@ def test_a_trajectory_starts_at_zero():
         analytic.PiecewiseTrajectory((), 1.0)
 
 
+@pytest.mark.parametrize("t_start, t_end", [(0.5, 0.5), (0.5, 0.25), (0.0, math.nan)])
+def test_a_segment_must_span_positive_time(t_start, t_end):
+    form = ExpLinear(1.0, 0.0, 0.0, 0.0)
+    state = NormalizedState(1.0, 1.0)
+    with pytest.raises(ValueError, match="segment must span positive time"):
+        RegimeSegment(Regime.NO_EXCHANGE, t_start, t_end, state, state, form, form)
+
+
 def test_boundary_start_with_zero_drift_stays_below():
     # eta_b starts exactly at threshold with zero derivative: assigned below,
     # no event fires, and the state never moves
@@ -406,17 +430,17 @@ def test_boundary_start_with_positive_drift_counts_as_above():
 
 
 def _watched_runs(monkeypatch):
-    """The 200 seeded draws with `_bracket`, `bisect` and math.exp watched.
-    Per run: the number of segments that end before the horizon, and per
-    bisection the settle rule, the number of stocks bracketed in its segment
-    and the (time, exp calls) of each test it ran."""
-    exp_calls = 0
-    real_exp = math.exp
+    """The 200 seeded draws with `_bracket`, `bisect` and `ExpLinear.value`
+    watched. Per run: the number of segments that end before the horizon, and
+    per bisection the settle rule, the number of stocks bracketed in its segment
+    and the (time, form evaluations) of each test it ran."""
+    value_calls = 0
+    real_value = ExpLinear.value
 
-    def counting_exp(x):
-        nonlocal exp_calls
-        exp_calls += 1
-        return real_exp(x)
+    def counting_value(form, t, lib=math):
+        nonlocal value_calls
+        value_calls += 1
+        return real_value(form, t, lib)
 
     brackets = []
     real_bracket = analytic._bracket
@@ -432,9 +456,9 @@ def _watched_runs(monkeypatch):
         tests = []
 
         def seen(t):
-            before = exp_calls
+            before = value_calls
             value = past(t)
-            tests.append((t, exp_calls - before))
+            tests.append((t, value_calls - before))
             return value
 
         found = real_bisect(seen, lo, hi, tol, settled, at_hi)
@@ -442,7 +466,7 @@ def _watched_runs(monkeypatch):
         bisections.append((settled, sum(b is not None for b in brackets[-2:]), tests))
         return found
 
-    monkeypatch.setattr(math, "exp", counting_exp)
+    monkeypatch.setattr(ExpLinear, "value", counting_value)
     monkeypatch.setattr(analytic, "_bracket", watched_bracket)
     monkeypatch.setattr(analytic, "bisect", watched_bisect)
     rng = np.random.default_rng(31)
@@ -459,7 +483,7 @@ def _watched_runs(monkeypatch):
 def test_crossing_bisection_evaluates_each_bracketed_form_once_per_time(monkeypatch):
     # bisect keeps the excess that `past` returned at the bracket's upper end
     # and hands it to `settled`: each test evaluates a bracketed stock's form
-    # (one exp each) at most once, and no time is tested twice
+    # (one `ExpLinear.value` call each) at most once, and no time is tested twice
     bisections = [b for _, found in _watched_runs(monkeypatch) for b in found]
     assert len(bisections) >= 50
     assert any(bracketed == 2 for _, bracketed, _ in bisections)

@@ -52,6 +52,12 @@ def _xfail(repro, item):
                  CROSSING.solver, id="exact-threshold-start"),
     pytest.param(NormalizedState(0.503, 0.503), GoodEconomy(1.5, 1.5, 1.0, 1.0, 2.0),
                  SolverOptions(horizon=1.5, step=1e-2), id="tie"),
+    # sigma = 0: eta_a rises from 1 by 1.5e-6 per unit time and never crosses.
+    # It is not bracketed (it is past 1 at the 1e-10 step-in), so it keeps its
+    # side at eta_b's crossing, 5.8e-11 in, where its value still rounds to 1
+    pytest.param(NormalizedState(1.0, 1.0 + 1e-12),
+                 GoodEconomy(1.0 + 1.5e-6, 0.0, 1.0, 1.0, 0.0),
+                 SolverOptions(horizon=1.0, step=0.01), id="unbracketed-stock-at-1"),
     pytest.param(NormalizedState(2.0, 0.1 + math.log(10.0) / 10.0 + 1e-7),
                  GoodEconomy(1.0, 0.9, 1.0, 1.0, 1.0), SolverOptions(horizon=4.0, step=0.01),
                  id="grazing",

@@ -231,6 +231,13 @@ def test_solver_options_validation():
         SolverOptions(horizon=1.0, event_tol=0.0)
 
 
+def test_solver_options_store_floats():
+    # ints and numpy scalars become floats, with the same values
+    opts = SolverOptions(horizon=10, step=np.float64(0.5), event_tol=1)
+    assert (opts.horizon, opts.step, opts.event_tol) == (10.0, 0.5, 1.0)
+    assert all(type(v) is float for v in (opts.horizon, opts.step, opts.event_tol))
+
+
 # ------------------------------------------------------------- depletion
 
 
@@ -329,6 +336,18 @@ def test_timeseries_validates_parallel_arrays():
             m_a=None,
             m_b=None,
         )
+
+
+@pytest.mark.parametrize("m_a, m_b, message", [
+    (np.zeros(2), None, "both be present or both absent"),
+    (None, np.zeros(2), "both be present or both absent"),
+    (np.zeros(2), np.zeros(1), "must match the sample count"),
+    (np.zeros(3), np.zeros(3), "must match the sample count"),
+])
+def test_timeseries_validates_the_money_arrays(m_a, m_b, message):
+    with pytest.raises(ValueError, match=message):
+        TimeSeries(times=np.array([0.0, 1.0]), eta_a=np.ones(2), eta_b=np.ones(2),
+                   regimes=np.zeros(2, np.uint8), m_a=m_a, m_b=m_b)
 
 
 def _series_at(times):

@@ -1,10 +1,14 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
-from tradeflow import money
+from tradeflow import money, region
 from tradeflow.core import GoodEconomy, PriceSet, TwoGoodScenario
 from tradeflow.money import feasibility_check
 from tradeflow.region import GridSpec, feasible_k_interval, scan_region
+from tradeflow.scenario import parse_scenario_text
 
 from test_money import fig_scenario, random_valid_scenario
 
@@ -111,6 +115,54 @@ def test_interval_is_empty_for_inconsistent_constraints():
     interval = feasible_k_interval(s)
     assert interval.empty
     assert not interval.contains(0.0)
+
+
+def test_the_switch_search_covers_every_finite_k():
+    # the bracket doubles up to the largest float, and only a predicate that
+    # holds at no finite k gives (inf, inf)
+    top = sys.float_info.max
+    assert region._switch(lambda k: k >= 1e300) == (math.nextafter(1e300, 0.0), 1e300)
+    assert region._switch(lambda k: k >= top) == (math.nextafter(top, 0.0), top)
+    assert region._switch(lambda k: k > top) == (math.inf, math.inf)
+    assert region._switch(lambda k: True) == (-math.inf, 0.0)
+
+
+_HUGE_K = """
+[model]
+kind = two-good
+
+[good1]
+c_a = {one}
+c_b = {big}
+
+[prices1]
+x_a = 1
+x_b = 3
+y = 2
+
+[good2]
+c_a = {big}
+c_b = {one}
+
+[prices2]
+x_a = 3
+x_b = 1
+y = 2
+"""
+
+
+@pytest.mark.parametrize("scale", [1e-10, 1.0])
+def test_an_interval_above_1e30_is_found(scale):
+    # feasible k in [5e34, 1e35]*scale; at scale 1 a search capped at 1e30
+    # gave [inf, inf], which the scan contradicts at 37 of 150 nodes
+    s = parse_scenario_text(_HUGE_K.format(one=scale, big=1e35 * scale)).two_good()
+    interval = feasible_k_interval(s)
+    assert abs(interval.lo - 5e34 * scale) <= 1e-15 * 5e34 * scale
+    assert abs(interval.hi - 1e35 * scale) <= 1e-15 * 1e35 * scale
+    scan = scan_region(s, GridSpec(0.0, 2e35 * scale, 50, 1.0, 2.0, 3))
+    assert int(scan.feasible.sum()) == 37
+    for k, feasible in zip(scan.k.ravel().tolist(), scan.feasible.ravel().tolist()):
+        assert feasible == interval.contains(k)
 
 
 def test_lower_bound_grows_with_the_import_bill():

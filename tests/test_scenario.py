@@ -242,6 +242,11 @@ def test_one_good_must_not_define_good2():
         parse_scenario_text(text)
 
 
+def test_a_one_good_scenario_has_no_two_good_view():
+    with pytest.raises(ScenarioError, match="scenario is not two-good"):
+        parse_scenario_text(ONE_GOOD).two_good()
+
+
 def test_grid_requires_two_good():
     text = ONE_GOOD + """
 [grid]
